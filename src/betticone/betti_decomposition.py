@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .diagrams import (DegreeSequence, integral_scale, is_chain,
                        normalized_diagram, smallest_integral)
 from .errors import NotInCone, StrandNotIncreasing
-from .tables import BettiTable, add_tables, scale, subtract_checked
+from .tables import BettiTable, combine
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,11 @@ def peel(b, seq):
     q is the minimum ratio along the strand, so the remainder stays
     nonnegative and at least one strand entry reaches zero.
     """
-    pi = normalized_diagram(seq)
+    return _peel(b, normalized_diagram(seq))
+
+
+def _peel(b, pi):
+    seq = pi.sequence
     ratios = []
     for k, d in enumerate(seq.degrees):
         present = b.value(seq.start + k, d)
@@ -78,8 +82,7 @@ def peel(b, seq):
             raise ValueError(f"strand position ({seq.start + k}, {d}) absent from table")
         ratios.append(present / pi.values[k])
     q = min(ratios)
-    remainder = subtract_checked(b, scale(pi.table(), q))
-    return q, remainder
+    return q, combine(b, pi.table(), -q)
 
 
 def decompose(b, normalized=False):
@@ -98,8 +101,8 @@ def decompose(b, normalized=False):
         if len(terms) >= max_steps:
             raise NotInCone(len(terms), "greedy loop failed to make progress")
         seq, truncated_at = _strand_info(work)
-        q, work = peel(work, seq)
         pi = normalized_diagram(seq)
+        q, work = _peel(work, pi)
         if normalized:
             terms.append((q, pi))
         else:
@@ -119,11 +122,9 @@ def decompose(b, normalized=False):
 def recompose(decomposition, vars=1):
     """Exact sum of coefficient * diagram; inverse of decompose."""
     terms = list(decomposition.terms)
-    if not terms:
-        return BettiTable(vars)
-    total = BettiTable(terms[0][1].sequence.vars)
+    total = BettiTable(terms[0][1].sequence.vars if terms else vars)
     for coeff, diagram in terms:
-        total = add_tables(total, scale(diagram.table(), coeff))
+        total = combine(total, diagram.table(), coeff)
     return total
 
 

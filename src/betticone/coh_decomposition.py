@@ -8,10 +8,10 @@ difference oracle on P^1 cross-checks the whole pipeline.
 
 from fractions import Fraction
 
-from .errors import InvalidTable, NotInCone, TailGuardFailure
+from .errors import InvalidTable, NegativeEntry, NotInCone, TailGuardFailure
 from .supernatural import (CohDecomposition, RootSequence, _sigma_cells,
                            chi_from_roots, corner_roots, supernatural_table)
-from .tables import CohomologyTable, validate
+from .tables import CohomologyTable, combine, validate
 
 from math import factorial
 
@@ -34,17 +34,11 @@ def peel_supernatural(g, roots):
         raise NotInCone(0, f"unit table of roots {roots} has empty window support")
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    lo, hi = g.window
-    remainder_entries = {}
-    for i in range(g.n + 1):
-        for j in range(lo, hi + 1):
-            d = g.value(i, j) - q * sigma.value(i, j)
-            if d < 0:
-                raise TailGuardFailure(f"negative remainder {d} at ({i}, {j})")
-            if d != 0:
-                remainder_entries[(i, j)] = d
-    chi = tuple(a - q * b for a, b in zip(g.chi, sigma.chi))
-    remainder = CohomologyTable(g.n, g.window, remainder_entries, chi)
+    try:
+        remainder = combine(g, sigma, -q, nonneg=True)
+    except NegativeEntry as exc:
+        detail = f"negative remainder {exc.value} at {exc.position}"
+        raise TailGuardFailure(detail) from None
     problems = validate(remainder)
     if problems:
         raise TailGuardFailure("; ".join(problems))
@@ -101,9 +95,10 @@ def p1_oracle(g):
     if problems:
         raise InvalidTable(problems)
     lo, hi = g.window
+    cells = g.cells(lo - 1, hi + 1)
 
     def T(j):
-        return g.value(0, j) + g.value(1, j)
+        return cells.get((0, j), 0) + cells.get((1, j), 0)
 
     terms = []
     for f in range(lo, hi + 1):

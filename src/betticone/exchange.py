@@ -15,6 +15,7 @@ column i, row j - i; cohomology entry (i, j) at display column j + i with
 row 0 at the bottom) and are not meant to be re-parsed.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -22,14 +23,17 @@ from .tables import BettiTable, CohomologyTable
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _fraction(token, line_no):
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line_no, f"bad rational {token!r}") from None
-    return value
+    """Parse num or num/den strictly: no decimals, exponents or underscores."""
+    if RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
+            pass
+    raise ParseError(line_no, f"bad rational {token!r}")
 
 
 def _int(token, line_no):

@@ -13,7 +13,7 @@ from math import floor, prod
 
 from .coh_decomposition import decompose_cohomology
 from .errors import BoundViolation, BudgetExceeded, DimensionMismatch, NotInCone
-from .tables import CohomologyTable
+from .tables import CohomologyTable, add_tables
 
 
 def cancellation_bounds(A, B):
@@ -22,12 +22,12 @@ def cancellation_bounds(A, B):
         raise DimensionMismatch(f"n {A.n} != {B.n}")
     lo = min(A.window[0], B.window[0])
     hi = max(A.window[1], B.window[1])
+    a_cells = A.cells(lo, hi)
     bounds = {}
-    for i in range(A.n):
-        for j in range(lo, hi + 1):
-            cap = min(B.value(i, j), A.value(i + 1, j))
-            if cap > 0:
-                bounds[(i, j)] = cap
+    for (i, j), b in sorted(B.cells(lo, hi).items()):
+        cap = min(b, a_cells.get((i + 1, j), 0))
+        if cap > 0:
+            bounds[(i, j)] = cap
     return bounds
 
 
@@ -41,18 +41,14 @@ def apply_cancellation(A, B, pattern):
     for (i, j), v in sorted(pattern.items()):
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    lo = min(A.window[0], B.window[0])
-    hi = max(A.window[1], B.window[1])
-    entries = {}
-    for i in range(A.n + 1):
-        for j in range(lo, hi + 1):
-            v = (A.value(i, j) + B.value(i, j)
-                 - pattern.get((i - 1, j), 0) - pattern.get((i, j), 0))
-            assert v >= 0  # guaranteed by the rank bounds
-            if v != 0:
-                entries[(i, j)] = v
-    chi = tuple(a + b for a, b in zip(A.chi, B.chi))
-    return CohomologyTable(A.n, (lo, hi), entries, chi)
+    split = add_tables(A, B)
+    entries = dict(split.entries)
+    for (i, j), c in pattern.items():
+        for key in ((i, j), (i + 1, j)):
+            entries[key] = entries.get(key, 0) - c
+            assert entries[key] >= 0  # guaranteed by the rank bounds
+    return CohomologyTable(A.n, split.window,
+                           {key: v for key, v in entries.items() if v}, split.chi)
 
 
 def _serre_orbits(support, n, shift):
@@ -109,10 +105,10 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """Candidate patterns whose extension table stays inside the cone.
 
-    Returns (pattern, table) pairs sorted by the pattern's value vector over
-    the bound support; membership is decided by the greedy decomposition.
+    Returns (pattern, table) pairs in enumeration order, which is lex by the
+    pattern's value vector over the bound support; membership is decided by
+    the greedy decomposition.
     """
-    support = sorted(cancellation_bounds(A, B))
     results = []
     for pattern in enumerate_patterns(A, B, mode, budget, serre_shift):
         table = apply_cancellation(A, B, pattern)
@@ -121,7 +117,6 @@ def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
         except NotInCone:
             continue
         results.append((pattern, table))
-    results.sort(key=lambda pair: _vector(pair[0], support))
     return results
 
 

@@ -4,6 +4,10 @@ All values are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator); nothing in this package touches floating point.
 Zero entries are never stored, so every emptiness test is a map lookup.
 Instances are treated as immutable after construction.
+
+All arithmetic is one primitive, ``combine`` (a + coeff * b over
+``CohomologyTable.cells``), costing the two supports plus one chi evaluation
+per twist where the windows differ, never the (n + 1) x window grid.
 """
 
 from fractions import Fraction
@@ -14,10 +18,15 @@ ZERO = Fraction(0)
 
 
 def _as_entries(entries):
-    out = {}
-    for (i, j), v in dict(entries).items():
-        out[(int(i), int(j))] = Fraction(v)
-    return out
+    return {(int(i), int(j)): Fraction(v) for (i, j), v in dict(entries).items()}
+
+
+def _trusted(cls, entries, **fields):
+    # Skips _as_entries: combine's entries are already int-keyed Fractions.
+    t = object.__new__(cls)
+    for name, value in dict(fields, entries=entries).items():
+        object.__setattr__(t, name, value)
+    return t
 
 
 class BettiTable:
@@ -110,6 +119,24 @@ class CohomologyTable:
             return self.chi_at(j) if self.n % 2 == 0 else -self.chi_at(j)
         return ZERO
 
+    def cells(self, lo, hi):
+        """Nonzero ``value``s on rows 0..n over [lo, hi], which contains our
+        window; costs the support plus one chi evaluation per added twist."""
+        n = self.n
+        w_lo, w_hi = self.window
+        out = {(i, j): v for (i, j), v in self.entries.items()
+               if v and 0 <= i <= n and w_lo <= j <= w_hi}
+        if any(self.chi):
+            for j in range(w_hi + 1, hi + 1):
+                v = self.chi_at(j)
+                if v:
+                    out[(0, j)] = v
+            for j in range(lo, w_lo):
+                v = self.chi_at(j)
+                if v:
+                    out[(n, j)] = v if n % 2 == 0 else -v
+        return out
+
     def support(self):
         return sorted(self.entries)
 
@@ -124,11 +151,7 @@ class CohomologyTable:
             return False
         lo = min(self.window[0], other.window[0])
         hi = max(self.window[1], other.window[1])
-        for i in range(self.n + 1):
-            for j in range(lo, hi + 1):
-                if self.value(i, j) != other.value(i, j):
-                    return False
-        return True
+        return self.cells(lo, hi) == other.cells(lo, hi)
 
     __hash__ = None
 
@@ -143,33 +166,43 @@ def chi_eval(t, j):
     return t.chi_at(j)
 
 
-def add_tables(a, b):
-    """Entrywise sum.  Cohomology windows are unioned with tails materialized."""
+def combine(a, b, coeff=1, nonneg=False):
+    """Entrywise a + coeff * b; cohomology windows are unioned, tails filled in.
+
+    Copies a's cells once, then visits b's cells in sorted (i, j) order;
+    with ``nonneg`` the first cell that goes negative raises NegativeEntry
+    (when a is nonnegative, that is the first negative cell of the sum).
+    """
+    coeff = Fraction(coeff)
     if isinstance(a, BettiTable) and isinstance(b, BettiTable):
         if a.vars != b.vars:
             raise DimensionMismatch(f"vars {a.vars} != {b.vars}")
-        merged = dict(a.entries)
-        for key, v in b.entries.items():
-            s = merged.get(key, ZERO) + v
-            if s == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = s
-        return BettiTable(a.vars, merged)
-    if isinstance(a, CohomologyTable) and isinstance(b, CohomologyTable):
+        merged, b_cells = dict(a.entries), b.entries
+    elif isinstance(a, CohomologyTable) and isinstance(b, CohomologyTable):
         if a.n != b.n:
             raise DimensionMismatch(f"n {a.n} != {b.n}")
         lo = min(a.window[0], b.window[0])
         hi = max(a.window[1], b.window[1])
-        merged = {}
-        for i in range(a.n + 1):
-            for j in range(lo, hi + 1):
-                s = a.value(i, j) + b.value(i, j)
-                if s != 0:
-                    merged[(i, j)] = s
-        chi = tuple(x + y for x, y in zip(a.chi, b.chi))
-        return CohomologyTable(a.n, (lo, hi), merged, chi)
-    raise DimensionMismatch("cannot add a Betti table to a cohomology table")
+        merged, b_cells = a.cells(lo, hi), b.cells(lo, hi)
+    else:
+        raise DimensionMismatch("cannot combine a Betti table with a cohomology table")
+    for key, v in sorted(b_cells.items()):
+        s = merged.get(key, ZERO) + coeff * v
+        if nonneg and s < 0:
+            raise NegativeEntry(key[0], key[1], s)
+        if s == 0:
+            merged.pop(key, None)
+        else:
+            merged[key] = s
+    if isinstance(a, BettiTable):
+        return _trusted(BettiTable, merged, vars=a.vars)
+    chi = tuple(x + coeff * y for x, y in zip(a.chi, b.chi))
+    return _trusted(CohomologyTable, merged, n=a.n, window=(lo, hi), chi=chi)
+
+
+def add_tables(a, b):
+    """Entrywise sum.  Cohomology windows are unioned with tails materialized."""
+    return combine(a, b)
 
 
 def scale(t, c):
@@ -189,42 +222,9 @@ def scale(t, c):
 
 
 def subtract_checked(a, b):
-    """Entrywise a - b, refusing to go negative anywhere.
-
-    Entries that reach exactly zero are dropped.  For cohomology tables the
-    windows are unioned first (tail values materialized); tail behaviour of
-    the difference beyond the union window is governed by the chi difference
-    and is the caller's concern (see the peel tail guard).
-    """
-    if isinstance(a, BettiTable) and isinstance(b, BettiTable):
-        if a.vars != b.vars:
-            raise DimensionMismatch(f"vars {a.vars} != {b.vars}")
-        merged = dict(a.entries)
-        for key, v in sorted(b.entries.items()):
-            d = merged.get(key, ZERO) - v
-            if d < 0:
-                raise NegativeEntry(key[0], key[1], d)
-            if d == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = d
-        return BettiTable(a.vars, merged)
-    if isinstance(a, CohomologyTable) and isinstance(b, CohomologyTable):
-        if a.n != b.n:
-            raise DimensionMismatch(f"n {a.n} != {b.n}")
-        lo = min(a.window[0], b.window[0])
-        hi = max(a.window[1], b.window[1])
-        merged = {}
-        for i in range(a.n + 1):
-            for j in range(lo, hi + 1):
-                d = a.value(i, j) - b.value(i, j)
-                if d < 0:
-                    raise NegativeEntry(i, j, d)
-                if d != 0:
-                    merged[(i, j)] = d
-        chi = tuple(x - y for x, y in zip(a.chi, b.chi))
-        return CohomologyTable(a.n, (lo, hi), merged, chi)
-    raise DimensionMismatch("cannot subtract a Betti table from a cohomology table")
+    """Entrywise a - b, refusing to go negative on any cell of b; its tails
+    beyond the union window are the caller's concern (see the peel guard)."""
+    return combine(a, b, -1, nonneg=True)
 
 
 def _leading_coefficient(chi):
@@ -243,21 +243,29 @@ def validate(t):
     violations = []
     n = t.n
     lo, hi = t.window
+    alt = {}
     for (i, j), v in sorted(t.entries.items()):
         if v <= 0:
             violations.append(f"entry ({i}, {j}) = {v} is not positive")
         if not 0 <= i <= n:
             violations.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
-        elif not lo <= j <= hi:
+            continue
+        if not lo <= j <= hi:
             violations.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
-        elif 1 <= i <= n - 1 and (j == lo or j == hi):
+            continue
+        if 1 <= i <= n - 1 and (j == lo or j == hi):
             violations.append(f"interior row {i} touches the window edge at j = {j}")
-    for j in range(lo, hi + 1):
-        alt = sum((v if i % 2 == 0 else -v)
-                  for (i, jj), v in t.entries.items() if jj == j and 0 <= i <= n)
-        if alt != t.chi_at(j):
+        alt[j] = alt.get(j, ZERO) + (v if i % 2 == 0 else -v)
+    # A zero chi can only mismatch where the alternating sum is supported,
+    # and its tails vanish.
+    has_chi = any(t.chi)
+    for j in range(lo, hi + 1) if has_chi else sorted(alt):
+        total, chi = alt.get(j, ZERO), t.chi_at(j)
+        if total != chi:
             violations.append(f"Euler mismatch at j = {j}: "
-                              f"alternating sum {alt} != chi {t.chi_at(j)}")
+                              f"alternating sum {total} != chi {chi}")
+    if not has_chi:
+        return violations
     for k in range(1, n + 2):
         right = t.chi_at(hi + k)
         if right < 0:

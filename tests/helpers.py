@@ -1,8 +1,10 @@
-"""Shared test utilities: independent oracles and random table generators."""
+"""Shared test utilities: independent oracles, dense reference arithmetic and
+random table generators."""
 
 from fractions import Fraction
 
-from betticone import (BettiTable, DegreeSequence, RootSequence, add_tables,
+from betticone import (BettiTable, CohomologyTable, DegreeSequence,
+                       NegativeEntry, RootSequence, add_tables,
                        normalized_diagram, scale, smallest_integral,
                        supernatural_table)
 
@@ -114,3 +116,98 @@ def root_chain_combination(rng, chain, slack=2):
         table = supernatural_table(roots, m, (lo, hi))
         total = table if total is None else add_tables(total, table)
     return terms, total
+
+
+# Dense reference arithmetic for cohomology tables.  These walk the whole
+# (n + 1) x window grid through ``value`` and ``chi_at``, exactly as the
+# library did before its arithmetic went sparse; the property tests check the
+# sparse code against them cell for cell.
+
+def _union(a, b):
+    return min(a.window[0], b.window[0]), max(a.window[1], b.window[1])
+
+
+def dense_cells(t, lo, hi):
+    return {(i, j): t.value(i, j) for i in range(t.n + 1)
+            for j in range(lo, hi + 1) if t.value(i, j) != 0}
+
+
+def dense_combine(a, b, sign):
+    """a + sign * b over the union window; sign -1 raises NegativeEntry."""
+    lo, hi = _union(a, b)
+    merged = {}
+    for i in range(a.n + 1):
+        for j in range(lo, hi + 1):
+            d = a.value(i, j) + sign * b.value(i, j)
+            if sign < 0 and d < 0:
+                raise NegativeEntry(i, j, d)
+            if d != 0:
+                merged[(i, j)] = d
+    chi = tuple(x + sign * y for x, y in zip(a.chi, b.chi))
+    return CohomologyTable(a.n, (lo, hi), merged, chi)
+
+
+def dense_equal(a, b):
+    if a.n != b.n or a.chi != b.chi:
+        return False
+    lo, hi = _union(a, b)
+    return dense_cells(a, lo, hi) == dense_cells(b, lo, hi)
+
+
+def dense_cancellation_bounds(A, B):
+    lo, hi = _union(A, B)
+    bounds = {}
+    for i in range(A.n):
+        for j in range(lo, hi + 1):
+            cap = min(B.value(i, j), A.value(i + 1, j))
+            if cap > 0:
+                bounds[(i, j)] = cap
+    return bounds
+
+
+def dense_apply_cancellation(A, B, pattern):
+    lo, hi = _union(A, B)
+    entries = {}
+    for i in range(A.n + 1):
+        for j in range(lo, hi + 1):
+            v = (A.value(i, j) + B.value(i, j)
+                 - pattern.get((i - 1, j), 0) - pattern.get((i, j), 0))
+            if v != 0:
+                entries[(i, j)] = v
+    chi = tuple(a + b for a, b in zip(A.chi, B.chi))
+    return CohomologyTable(A.n, (lo, hi), entries, chi)
+
+
+def dense_validate(t):
+    """Cohomology invariants with the Euler check rescanning every twist."""
+    violations = []
+    n = t.n
+    lo, hi = t.window
+    for (i, j), v in sorted(t.entries.items()):
+        if v <= 0:
+            violations.append(f"entry ({i}, {j}) = {v} is not positive")
+        if not 0 <= i <= n:
+            violations.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
+        elif not lo <= j <= hi:
+            violations.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
+        elif 1 <= i <= n - 1 and (j == lo or j == hi):
+            violations.append(f"interior row {i} touches the window edge at j = {j}")
+    for j in range(lo, hi + 1):
+        alt = sum((v if i % 2 == 0 else -v)
+                  for (i, jj), v in t.entries.items() if jj == j and 0 <= i <= n)
+        if alt != t.chi_at(j):
+            violations.append(f"Euler mismatch at j = {j}: "
+                              f"alternating sum {alt} != chi {t.chi_at(j)}")
+    for k in range(1, n + 2):
+        right = t.chi_at(hi + k)
+        if right < 0:
+            violations.append(f"right tail negative: chi({hi + k}) = {right}")
+        left = t.chi_at(lo - k)
+        if n % 2 == 1:
+            left = -left
+        if left < 0:
+            violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = {left}")
+    lead = next((c for c in reversed(t.chi) if c != 0), None)
+    if lead is not None and lead < 0:
+        violations.append(f"leading chi coefficient {lead} is negative")
+    return violations

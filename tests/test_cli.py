@@ -167,6 +167,22 @@ def test_pretty_parse_error_has_line_number(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_huge_exponent_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.ct"
+    path.write_text("coh-table v1\nn 1\nwindow 0 1\nchi 1 1\nentry 0 0 1e5000\n")
+    code, out, err = run_cli(capsys, "pretty", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse-error: line 5: bad rational '1e5000'\n"
+
+
+def test_multiplicity_uses_the_rational_grammar(capsys):
+    code, _, err = run_cli(capsys, "supernatural", "-n", "1", "-f", "0", "-m", "1.5")
+    assert code == 2
+    assert err == "parse-error: line 0: bad rational '1.5'\n"
+    code, out, _ = run_cli(capsys, "supernatural", "-n", "1", "-f", "0", "-m", "3/2")
+    assert code == 0 and "chi 0 3/2\n" in out
+
+
 def test_validate_pass_and_fail(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", str(FIXTURES / "p2_structure_sheaf.ct"))
     assert (code, out) == (0, "valid\n")

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,26 @@ def test_parse_bad_tokens():
         parse_table("betti-table v1\nvars x\n")
     with pytest.raises(ParseError):
         parse_table("betti-table v1\nvars 2\nentry 0 0 1/0\n")
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e3", "1_5", "+3", "1/-2", "0x10",
+                                   "\u0661", "1e5000", "1/0"])
+def test_parse_rejects_tokens_outside_the_rational_grammar(token):
+    text = f"coh-table v1\nn 1\nwindow 0 1\nchi 1 1\nentry 0 0 {token}\n"
+    with pytest.raises(ParseError) as info:
+        parse_table(text)
+    assert info.value.line_no == 5
+    assert info.value.message == f"bad rational {token!r}"
+    with pytest.raises(ParseError) as info:
+        parse_table(f"coh-table v1\nn 1\nwindow 0 1\nchi 1 {token}\n")
+    assert info.value.line_no == 4
+
+
+def test_parse_accepts_the_rational_grammar():
+    text = "coh-table v1\nn 1\nwindow 0 1\nchi -0 007/14\nentry 0 0 -12/8\n"
+    t = parse_table(text)
+    assert t.chi == (0, Fraction(1, 2))
+    assert t.entries == {(0, 0): Fraction(-3, 2)}
 
 
 def test_pretty_betti_grid():
