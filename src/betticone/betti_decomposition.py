@@ -82,6 +82,8 @@ def _peel(b, pi):
             raise ValueError(f"strand position ({seq.start + k}, {d}) absent from table")
         ratios.append(present / pi.values[k])
     q = min(ratios)
+    if q < 0:
+        raise ValueError(f"scale factor must be nonnegative, got {q}")
     return q, combine(b, pi.table(), -q)
 
 

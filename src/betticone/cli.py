@@ -14,8 +14,8 @@ from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, p1_oracle
 from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smallest_integral
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
-from .exchange import (_fraction, parse_table, pretty_betti, pretty_cohomology,
-                       serialize_table)
+from .exchange import (parse_rational, parse_table, pretty_betti,
+                       pretty_cohomology, serialize_table)
 from .extension import (cancellation_bounds, enumerate_patterns, feasible_set,
                         polytope_vertices)
 from .stillman import scan
@@ -123,7 +123,7 @@ def _cmd_member(args):
 def _cmd_supernatural(args):
     roots = _parse_roots_arg(args.roots, args.n)
     window = _parse_window_arg(args.window) if args.window else None
-    table = supernatural_table(roots, _fraction(args.multiplicity, 0), window)
+    table = supernatural_table(roots, parse_rational(args.multiplicity), window)
     if args.pretty:
         print(pretty_cohomology(table), end="")
     else:

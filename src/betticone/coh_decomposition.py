@@ -8,7 +8,7 @@ difference oracle on P^1 cross-checks the whole pipeline.
 
 from fractions import Fraction
 
-from .errors import InvalidTable, NegativeEntry, NotInCone, TailGuardFailure
+from .errors import InvalidTable, NotInCone, TailGuardFailure
 from .supernatural import (CohDecomposition, RootSequence, _sigma_cells,
                            chi_from_roots, corner_roots, supernatural_table)
 from .tables import CohomologyTable, combine, validate
@@ -34,11 +34,7 @@ def peel_supernatural(g, roots):
         raise NotInCone(0, f"unit table of roots {roots} has empty window support")
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    try:
-        remainder = combine(g, sigma, -q, nonneg=True)
-    except NegativeEntry as exc:
-        detail = f"negative remainder {exc.value} at {exc.position}"
-        raise TailGuardFailure(detail) from None
+    remainder = combine(g, sigma, -q)
     problems = validate(remainder)
     if problems:
         raise TailGuardFailure("; ".join(problems))

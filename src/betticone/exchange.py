@@ -26,7 +26,7 @@ COH_HEADER = "coh-table v1"
 RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _fraction(token, line_no):
+def parse_rational(token, line_no=0):
     """Parse num or num/den strictly: no decimals, exponents or underscores."""
     if RATIONAL.fullmatch(token):
         try:
@@ -73,7 +73,7 @@ def _parse_entry(parts, line_no, entries):
     j = _int(parts[2], line_no)
     if (i, j) in entries:
         raise ParseError(line_no, f"duplicate entry ({i}, {j})")
-    entries[(i, j)] = _fraction(parts[3], line_no)
+    entries[(i, j)] = parse_rational(parts[3], line_no)
 
 
 def _parse_betti(lines):
@@ -117,7 +117,7 @@ def _parse_coh(lines):
         elif parts[0] == "chi":
             if chi is not None:
                 raise ParseError(line_no, "repeated chi line")
-            chi = [_fraction(tok, line_no) for tok in parts[1:]]
+            chi = [parse_rational(tok, line_no) for tok in parts[1:]]
             chi_line = line_no
         elif parts[0] == "entry":
             _parse_entry(parts, line_no, entries)

@@ -183,6 +183,15 @@ def test_multiplicity_uses_the_rational_grammar(capsys):
     assert code == 0 and "chi 0 3/2\n" in out
 
 
+def test_negative_strand_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "neg.bt"
+    path.write_text("betti-table v1\nvars 1\nentry 0 0 -1\nentry 1 1 -1\n")
+    for command in ("member", "decompose"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "usage-error: scale factor must be nonnegative, got -1\n"
+
+
 def test_validate_pass_and_fail(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", str(FIXTURES / "p2_structure_sheaf.ct"))
     assert (code, out) == (0, "valid\n")
