@@ -19,7 +19,7 @@ from .exchange import (parse_rational, parse_table, pretty_betti,
 from .extension import (cancellation_bounds, enumerate_patterns, feasible_set,
                         polytope_vertices)
 from .stillman import scan
-from .supernatural import RootSequence, _sigma_cells, supernatural_table
+from .supernatural import RootSequence, supernatural_table
 from .tables import BettiTable, CohomologyTable, validate
 
 # Flags whose values may start with a minus sign; they are glued to the flag
@@ -142,7 +142,8 @@ def _cmd_coh_decompose(args):
             raise OracleMismatch("oracle and greedy decomposition disagree")
     for coeff, roots in result:
         if args.integral:
-            s = integral_scale(_sigma_cells(roots, 1, table.window).values())
+            unit = supernatural_table(roots, 1, table.window)
+            s = integral_scale(unit.entries.values())
             print(f"term {coeff / s} roots={roots} multiple={s}")
         else:
             print(f"term {coeff} roots={roots}")

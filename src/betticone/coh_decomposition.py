@@ -9,33 +9,28 @@ difference oracle on P^1 cross-checks the whole pipeline.
 from fractions import Fraction
 
 from .errors import InvalidTable, NotInCone, TailGuardFailure
-from .supernatural import (CohDecomposition, RootSequence, _sigma_cells,
-                           chi_from_roots, corner_roots, supernatural_table)
-from .tables import CohomologyTable, combine, validate
-
-from math import factorial
+from .supernatural import (CohDecomposition, RootSequence, corner_roots,
+                           supernatural_table)
+from .tables import CohomologyTable, combine, tail_violations, validate
 
 
 def peel_supernatural(g, roots):
     """Largest q with g - q * sigma_roots nonnegative on the window.
 
-    q is the minimum ratio over the unit table's window support; the
-    remainder must then pass full validation (tail guards included) or the
-    peel is rejected.
+    g must be valid (``decompose_cohomology`` validates its input once).  q
+    is the minimum ratio over the unit table's cells, so when q > 0 every
+    cell of sigma lies in g's support and the peel adds no cell, drives none
+    negative and leaves rows, window and edge cells alone; the Euler identity
+    holds by linearity.  Only the signs of the polynomial tails can break, so
+    the remainder is checked with ``tail_violations`` alone.
     """
     sigma = supernatural_table(roots, 1, g.window)
-    q = None
-    binding = None
-    for (i, j), s in sorted(sigma.entries.items()):
-        ratio = g.value(i, j) / s
-        if q is None or ratio < q:
-            q, binding = ratio, (i, j)
-    if q is None:
-        raise NotInCone(0, f"unit table of roots {roots} has empty window support")
+    q, binding = min((g.value(i, j) / s, (i, j))
+                     for (i, j), s in sigma.entries.items())
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     remainder = combine(g, sigma, -q)
-    problems = validate(remainder)
+    problems = tail_violations(remainder)
     if problems:
         raise TailGuardFailure("; ".join(problems))
     return q, remainder
@@ -66,17 +61,6 @@ def decompose_cohomology(g):
     return CohDecomposition(tuple(terms))
 
 
-def _sum_of_sigmas(n, window, terms):
-    entries = {}
-    chi = tuple([Fraction(0)] * (n + 1))
-    for m, roots in terms:
-        for key, v in _sigma_cells(roots, m, window).items():
-            entries[key] = entries.get(key, Fraction(0)) + v
-        term_chi = chi_from_roots(roots.roots, Fraction(m, factorial(n)))
-        chi = tuple(a + b for a, b in zip(chi, term_chi))
-    return CohomologyTable(n, window, entries, chi)
-
-
 def p1_oracle(g):
     """Independent P^1 decomposition via second differences.
 
@@ -103,7 +87,9 @@ def p1_oracle(g):
             raise NotInCone(0, f"negative second difference {2 * m} at j = {f}")
         if m > 0:
             terms.append((m, RootSequence(1, (f,))))
-    rebuilt = _sum_of_sigmas(1, g.window, terms)
+    rebuilt = CohomologyTable(1, g.window)
+    for m, roots in terms:
+        rebuilt = combine(rebuilt, supernatural_table(roots, m, (lo - 1, hi + 1)))
     if rebuilt != g:
         raise NotInCone(0, "second differences do not reconstruct the table")
     return CohDecomposition(tuple(terms))

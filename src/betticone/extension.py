@@ -41,13 +41,16 @@ def apply_cancellation(A, B, pattern):
     for (i, j), v in sorted(pattern.items()):
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    split = add_tables(A, B)
+    return _cancel(add_tables(A, B), pattern)
+
+
+def _cancel(split, pattern):
     entries = dict(split.entries)
     for (i, j), c in pattern.items():
         for key in ((i, j), (i + 1, j)):
             entries[key] = entries.get(key, 0) - c
             assert entries[key] >= 0  # guaranteed by the rank bounds
-    return CohomologyTable(A.n, split.window,
+    return CohomologyTable(split.n, split.window,
                            {key: v for key, v in entries.items() if v}, split.chi)
 
 
@@ -98,7 +101,6 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
                 for key in orbit:
                     pattern[key] = v
         patterns.append(pattern)
-    patterns.sort(key=lambda p: _vector(p, support))
     return patterns
 
 
@@ -109,9 +111,11 @@ def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     pattern's value vector over the bound support; membership is decided by
     the greedy decomposition.
     """
+    patterns = enumerate_patterns(A, B, mode, budget, serre_shift)
+    split = add_tables(A, B)
     results = []
-    for pattern in enumerate_patterns(A, B, mode, budget, serre_shift):
-        table = apply_cancellation(A, B, pattern)
+    for pattern in patterns:
+        table = _cancel(split, pattern)
         try:
             decompose_cohomology(table)
         except NotInCone:

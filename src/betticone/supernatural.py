@@ -9,7 +9,7 @@ of the cone of vector-bundle cohomology tables.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import NotStaircase, WindowTooSmall
 from .tables import CohomologyTable
@@ -57,25 +57,6 @@ def chi_from_roots(roots, lead):
     return tuple(coeffs)
 
 
-def _sigma_cells(roots, m, window):
-    # Window entries of m * sigma_f; does not insist the window contain the
-    # roots, so the second-difference oracle can rebuild edge cases.
-    f = roots.roots
-    n = roots.n
-    unit = Fraction(m, factorial(n))
-    lo, hi = window
-    entries = {}
-    for j in range(lo, hi + 1):
-        product = 1
-        for fk in f:
-            product *= j - fk
-        if product == 0:
-            continue
-        row = sum(1 for fk in f if fk > j)
-        entries[(row, j)] = unit * abs(product)
-    return entries
-
-
 def supernatural_table(roots, multiplicity=1, window=None):
     """The rank-one supernatural table of the given roots, scaled.
 
@@ -92,8 +73,14 @@ def supernatural_table(roots, multiplicity=1, window=None):
     if lo > f[-1] - 1 or hi < f[0] + 1:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{f[-1] - 1}, {f[0] + 1}]")
-    chi = chi_from_roots(f, Fraction(m, factorial(roots.n)))
-    return CohomologyTable(roots.n, window, _sigma_cells(roots, m, window), chi)
+    unit = m / factorial(roots.n)
+    entries = {}
+    for j in range(lo, hi + 1):
+        product = prod(j - fk for fk in f)
+        if product:
+            row = sum(1 for fk in f if fk > j)
+            entries[(row, j)] = unit * abs(product)
+    return CohomologyTable(roots.n, window, entries, chi_from_roots(f, unit))
 
 
 def line_bundle_table(n, a, window):

@@ -211,27 +211,14 @@ def scale(t, c):
     if c < 0:
         raise ValueError(f"scale factor must be nonnegative, got {c}")
     if isinstance(t, BettiTable):
-        if c == 0:
-            return BettiTable(t.vars)
-        return BettiTable(t.vars, {k: v * c for k, v in t.entries.items()})
-    if c == 0:
-        return CohomologyTable(t.n, t.window)
-    return CohomologyTable(t.n, t.window,
-                           {k: v * c for k, v in t.entries.items()},
-                           tuple(x * c for x in t.chi))
+        return combine(BettiTable(t.vars), t, c)
+    return combine(CohomologyTable(t.n, t.window), t, c)
 
 
 def subtract_checked(a, b):
     """Entrywise a - b, refusing to go negative on any cell of b; its tails
     beyond the union window are the caller's concern (see the peel guard)."""
     return combine(a, b, -1, nonneg=True)
-
-
-def _leading_coefficient(chi):
-    for c in reversed(chi):
-        if c != 0:
-            return c
-    return None
 
 
 def validate(t):
@@ -264,8 +251,21 @@ def validate(t):
         if total != chi:
             violations.append(f"Euler mismatch at j = {j}: "
                               f"alternating sum {total} != chi {chi}")
-    if not has_chi:
-        return violations
+    return violations + tail_violations(t)
+
+
+def tail_violations(t):
+    """Sign checks on a cohomology table's implicit tails (n + 1 twists past
+    each window edge) and on chi's leading coefficient, in ``validate``'s order.
+
+    These are the only invariants a supernatural peel can break (see
+    ``peel_supernatural``), so its remainder is checked with this alone.
+    """
+    if not any(t.chi):
+        return []
+    n = t.n
+    lo, hi = t.window
+    violations = []
     for k in range(1, n + 2):
         right = t.chi_at(hi + k)
         if right < 0:
@@ -275,7 +275,7 @@ def validate(t):
             left = -left
         if left < 0:
             violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = {left}")
-    lead = _leading_coefficient(t.chi)
-    if lead is not None and lead < 0:
+    lead = next(c for c in reversed(t.chi) if c)
+    if lead < 0:
         violations.append(f"leading chi coefficient {lead} is negative")
     return violations

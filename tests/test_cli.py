@@ -104,6 +104,14 @@ def test_coh_decompose_with_oracle(capsys):
     assert out == "term 5 roots=-3\nterm 5 roots=1\n"
 
 
+def test_tail_guard_fixture(capsys):
+    path = str(FIXTURES / "p1_tail_guard.ct")
+    assert run_cli(capsys, "member", path) == (0, "in-cone no\n", "")
+    assert run_cli(capsys, "coh-decompose", path) == (
+        1, "", "tail-guard: step 0: right tail negative: chi(4) = -1; right tail "
+        "negative: chi(5) = -1; leading chi coefficient -1 is negative\n")
+
+
 def test_coh_decompose_rank3(capsys):
     code, out, _ = run_cli(capsys, "coh-decompose", str(FIXTURES / "pp2_rank3.ct"))
     assert code == 0

@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone.coh_decomposition as coh_decomposition
 from betticone import (CohomologyTable, InvalidTable, NotInCone, RootSequence,
-                       add_tables, decompose_cohomology, p1_oracle,
-                       peel_supernatural, scale, supernatural_table, validate)
+                       TailGuardFailure, WindowTooSmall, add_tables,
+                       corner_roots, decompose_cohomology, line_bundle_table,
+                       p1_oracle, parse_table, peel_supernatural, scale,
+                       supernatural_table, validate)
+from betticone.tables import combine
 from helpers import random_root_chain, root_chain_combination
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rank3_bundle():
@@ -159,3 +165,77 @@ def test_each_peel_zeroes_a_window_entry(seed):
         assert len(work.entries) < before
         steps += 1
     assert steps <= len(total.entries)
+
+
+def tail_guard_table():
+    return parse_table((FIXTURES / "p1_tail_guard.ct").read_text())
+
+
+def test_valid_table_stopped_by_the_tail_guard():
+    t = tail_guard_table()
+    assert validate(t) == []
+    with pytest.raises(TailGuardFailure) as info:
+        decompose_cohomology(t)
+    assert str(info.value) == (
+        "step 0: right tail negative: chi(4) = -1; right tail negative: "
+        "chi(5) = -1; leading chi coefficient -1 is negative")
+    with pytest.raises(NotInCone) as info:
+        p1_oracle(t)
+    assert str(info.value) == "step 0: negative second difference -4 at j = 1"
+
+
+def test_oracle_rejects_a_root_outside_the_window():
+    # O on P^1 is sigma_{-1}, whose root lies left of the window [0, 5]
+    t = line_bundle_table(1, 0, (0, 5))
+    assert validate(t) == []
+    with pytest.raises(NotInCone) as info:
+        p1_oracle(t)
+    assert str(info.value) == "step 0: second differences do not reconstruct the table"
+
+
+def chi_neutral_dent(rng, t):
+    """Lower rows i and i + 1 at one twist by the same amount: the Euler
+    polynomial is unchanged, positivity and staircase shape may not be."""
+    cells = [(i, j) for (i, j) in t.entries if i < t.n and (i + 1, j) in t.entries]
+    if not cells:
+        return t
+    i, j = rng.choice(cells)
+    cap = min(t.entries[(i, j)], t.entries[(i + 1, j)])
+    c = cap if rng.random() < 0.5 else cap * F(rng.randint(1, 9), 10)
+    return combine(t, CohomologyTable(t.n, t.window, {(i, j): c, (i + 1, j): c}), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(0, 2))
+def test_every_peel_remainder_is_valid(seed, dents):
+    # peel_supernatural checks only the tails of its remainder; everything
+    # else validate checks must follow from the input being valid
+    rng = random.Random(seed)
+    _, work = root_chain_combination(rng, random_root_chain(rng, rng.randint(1, 3)))
+    for _ in range(dents):
+        work = chi_neutral_dent(rng, work)
+    if validate(work):
+        return
+    for _ in range(len(work.entries) + 1):
+        if work.is_zero():
+            break
+        try:
+            _, work = peel_supernatural(work, corner_roots(work))
+        except (NotInCone, WindowTooSmall):
+            break
+        assert validate(work) == []
+
+
+@pytest.mark.parametrize("table", [rank3_bundle, split_table, tail_guard_table])
+def test_decompose_validates_once(monkeypatch, table):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return validate(t)
+    monkeypatch.setattr(coh_decomposition, "validate", counted)
+    try:
+        decompose_cohomology(table())
+    except NotInCone:
+        pass
+    assert len(calls) == 1

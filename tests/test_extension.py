@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone.extension as extension
 from betticone import (BoundViolation, BudgetExceeded, RootSequence,
                        apply_cancellation, cancellation_bounds, chi_eval,
                        enumerate_patterns, feasible_set, line_bundle_table,
-                       polytope_vertices, scale, supernatural_table)
+                       parse_table, polytope_vertices, scale,
+                       supernatural_table)
 from betticone.extension import _in_hull
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def pair():
@@ -117,6 +121,22 @@ def test_serre_shift_moves_the_mirror():
     assert [p for p, _ in shifted] == [{}, {(0, -2): 1}]
     cancelled = shifted[1][1]
     assert cancelled == supernatural_table(RootSequence(1, (-2,)), 2, (-5, 3))
+
+
+def test_feasible_set_builds_the_split_table_once(monkeypatch):
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    calls = {"add_tables": 0, "cancellation_bounds": 0}
+    for name in calls:
+        original = getattr(extension, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(extension, name, counted)
+    feasible = feasible_set(a, b)
+    assert len(feasible) == 55
+    assert calls == {"add_tables": 1, "cancellation_bounds": 1}
 
 
 def test_budget_exceeded():
