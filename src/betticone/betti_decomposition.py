@@ -8,10 +8,11 @@ exactly when this empties the table along a chain of degree sequences.
 
 from dataclasses import dataclass
 
+from .coh_decomposition import decompose_cohomology
 from .diagrams import (DegreeSequence, integral_scale, is_chain,
                        normalized_diagram, smallest_integral)
 from .errors import NotInCone, StrandNotIncreasing
-from .tables import BettiTable, combine
+from .tables import BettiTable, combine, first_twists, peel_largest
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,7 @@ class BettiDecomposition:
 def _strand_info(b):
     # Returns the top strand plus the column (or None) at which a nonempty
     # column with non-increasing minimum forced truncation.
-    minima = {}
-    for (i, j) in b.entries:
-        if i not in minima or j < minima[i]:
-            minima[i] = j
+    minima = first_twists(b)
     a = min(minima)
     degrees = [minima[a]]
     truncated_at = None
@@ -74,17 +72,12 @@ def peel(b, seq):
 
 
 def _peel(b, pi):
-    seq = pi.sequence
-    ratios = []
-    for k, d in enumerate(seq.degrees):
-        present = b.value(seq.start + k, d)
-        if present == 0:
-            raise ValueError(f"strand position ({seq.start + k}, {d}) absent from table")
-        ratios.append(present / pi.values[k])
-    q = min(ratios)
+    q, binding, remainder = peel_largest(b, pi.table())
     if q < 0:
         raise ValueError(f"scale factor must be nonnegative, got {q}")
-    return q, combine(b, pi.table(), -q)
+    if q == 0:
+        raise ValueError(f"strand position {binding} absent from table")
+    return q, remainder
 
 
 def decompose(b, normalized=False):
@@ -130,10 +123,11 @@ def recompose(decomposition, vars=1):
     return total
 
 
-def is_member(b):
-    """Cone membership: does the greedy decomposition succeed?"""
+def is_member(t):
+    """Cone membership of a Betti or cohomology table: does the matching
+    greedy decomposition succeed?"""
     try:
-        decompose(b)
+        (decompose if isinstance(t, BettiTable) else decompose_cohomology)(t)
     except NotInCone:
         return False
     return True

@@ -13,7 +13,7 @@ from pathlib import Path
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, p1_oracle
 from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smallest_integral
-from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
+from .errors import BettiConeError, OracleMismatch, ParseError
 from .exchange import (parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
 from .extension import (cancellation_bounds, enumerate_patterns, feasible_set,
@@ -107,16 +107,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_member(args):
-    table = _load(args.table)
-    if isinstance(table, BettiTable):
-        inside = is_member(table)
-    else:
-        try:
-            decompose_cohomology(table)
-            inside = True
-        except NotInCone:
-            inside = False
-    print(f"in-cone {'yes' if inside else 'no'}")
+    print(f"in-cone {'yes' if is_member(_load(args.table)) else 'no'}")
     return 0
 
 

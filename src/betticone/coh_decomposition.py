@@ -11,7 +11,7 @@ from fractions import Fraction
 from .errors import InvalidTable, NotInCone, TailGuardFailure
 from .supernatural import (CohDecomposition, RootSequence, corner_roots,
                            supernatural_table)
-from .tables import CohomologyTable, combine, tail_violations, validate
+from .tables import CohomologyTable, combine, peel_largest, tail_violations, validate
 
 
 def peel_supernatural(g, roots):
@@ -24,12 +24,9 @@ def peel_supernatural(g, roots):
     holds by linearity.  Only the signs of the polynomial tails can break, so
     the remainder is checked with ``tail_violations`` alone.
     """
-    sigma = supernatural_table(roots, 1, g.window)
-    q, binding = min((g.value(i, j) / s, (i, j))
-                     for (i, j), s in sigma.entries.items())
+    q, binding, remainder = peel_largest(g, supernatural_table(roots, 1, g.window))
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    remainder = combine(g, sigma, -q)
     problems = tail_violations(remainder)
     if problems:
         raise TailGuardFailure("; ".join(problems))

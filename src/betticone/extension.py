@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 from math import floor, prod
 
-from .coh_decomposition import decompose_cohomology
-from .errors import BoundViolation, BudgetExceeded, DimensionMismatch, NotInCone
+from .betti_decomposition import is_member
+from .errors import BoundViolation, BudgetExceeded, DimensionMismatch
 from .tables import CohomologyTable, add_tables
 
 
@@ -116,11 +116,8 @@ def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     results = []
     for pattern in patterns:
         table = _cancel(split, pattern)
-        try:
-            decompose_cohomology(table)
-        except NotInCone:
-            continue
-        results.append((pattern, table))
+        if is_member(table):
+            results.append((pattern, table))
     return results
 
 
@@ -129,14 +126,18 @@ def _vector(pattern, support):
 
 
 def polytope_vertices(patterns, support):
-    """Extreme points of the convex hull of the given integer patterns."""
+    """Extreme points of the convex hull of the given integer patterns.
+
+    Each point is tested against the survivors only: a point in the hull of
+    the others is dropped, which leaves the hull unchanged.  Of a point given
+    twice, the last copy survives.
+    """
     vectors = [tuple(Fraction(v) for v in _vector(p, support)) for p in patterns]
-    vertices = []
+    survivors = list(range(len(vectors)))
     for k, vec in enumerate(vectors):
-        others = vectors[:k] + vectors[k + 1:]
-        if not _in_hull(vec, others):
-            vertices.append(patterns[k])
-    return vertices
+        if _in_hull(vec, [vectors[s] for s in survivors if s != k]):
+            survivors.remove(k)
+    return [patterns[k] for k in survivors]
 
 
 def _in_hull(x, points):

@@ -9,10 +9,10 @@ of the cone of vector-bundle cohomology tables.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .errors import NotStaircase, WindowTooSmall
-from .tables import CohomologyTable
+from .tables import CohomologyTable, first_twists
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,15 @@ def supernatural_table(roots, multiplicity=1, window=None):
 def line_bundle_table(n, a, window):
     """Cohomology table of O(a) on P^n over the given window.
 
-    Row 0 carries binomial(a + j + n, n) for a + j >= 0, row n carries
-    binomial(-a - j - 1, n) for a + j <= -n - 1, nothing else is nonzero.
+    It is the unit supernatural table of the roots -a-1 > ... > -a-n (row 0
+    carries binomial(a + j + n, n), row n binomial(-a - j - 1, n)), built
+    over a window that holds its staircase and then cut down to ``window``.
     """
     lo, hi = window
-    entries = {}
-    for j in range(lo, hi + 1):
-        if a + j >= 0:
-            v = comb(a + j + n, n)
-            if v:
-                entries[(0, j)] = Fraction(v)
-        elif a + j <= -n - 1:
-            v = comb(-a - j - 1, n)
-            if v:
-                entries[(n, j)] = Fraction(v)
-    chi = chi_from_roots([-a - k for k in range(1, n + 1)],
-                         Fraction(1, factorial(n)))
-    return CohomologyTable(n, window, entries, chi)
+    roots = RootSequence(n, tuple(-a - k for k in range(1, n + 1)))
+    sigma = supernatural_table(roots, 1, (min(lo, -a - n - 1), max(hi, -a)))
+    entries = {(i, j): v for (i, j), v in sigma.entries.items() if lo <= j <= hi}
+    return CohomologyTable(n, window, entries, sigma.chi)
 
 
 def corner_roots(g):
@@ -114,10 +106,7 @@ def corner_roots(g):
     forced consecutive: f_i = f_{i-1} - 1).  Raises NotStaircase when rows
     0 or n are empty on the window.
     """
-    minima = {}
-    for (i, j) in g.entries:
-        if i not in minima or j < minima[i]:
-            minima[i] = j
+    minima = first_twists(g)
     if 0 not in minima:
         raise NotStaircase("row 0 has no support on the window")
     if g.n not in minima:

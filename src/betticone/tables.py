@@ -7,7 +7,11 @@ Instances are treated as immutable after construction.
 
 All arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
-per twist where the windows differ, never the (n + 1) x window grid.
+per twist where the windows differ, never the (n + 1) x window grid.  The
+two greedy decompositions share their steps for either table kind:
+``first_twists`` reads the smallest stored twist (degree) of every row
+(column), and ``peel_largest`` subtracts the largest multiple of a unit
+table, reporting the cell that binds it.
 """
 
 from fractions import Fraction
@@ -198,6 +202,24 @@ def combine(a, b, coeff=1, nonneg=False):
         return _trusted(BettiTable, merged, vars=a.vars)
     chi = tuple(x + coeff * y for x, y in zip(a.chi, b.chi))
     return _trusted(CohomologyTable, merged, n=a.n, window=(lo, hi), chi=chi)
+
+
+def peel_largest(g, unit):
+    """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
+    unit's cells, ties going to the smallest cell; the caller refuses q <= 0.
+    """
+    q, binding = min((g.value(i, j) / s, (i, j)) for (i, j), s in unit.entries.items())
+    return q, binding, combine(g, unit, -q)
+
+
+def first_twists(t):
+    """Each stored row i (a Betti column) mapped to its smallest stored
+    twist j (internal degree)."""
+    first = {}
+    for (i, j) in t.entries:
+        if i not in first or j < first[i]:
+            first[i] = j
+    return first
 
 
 def add_tables(a, b):

@@ -2,11 +2,14 @@
 random table generators."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 from betticone import (BettiTable, CohomologyTable, DegreeSequence,
                        NegativeEntry, RootSequence, add_tables,
                        normalized_diagram, scale, smallest_integral,
                        supernatural_table)
+from betticone.extension import _in_hull
+from betticone.supernatural import chi_from_roots
 
 
 def hk_solve(seq):
@@ -211,3 +214,54 @@ def dense_validate(t):
     if lead is not None and lead < 0:
         violations.append(f"leading chi coefficient {lead} is negative")
     return violations
+
+
+# References computed another way than the library: every hull point
+# tested against all the others (the library tests it against the points
+# not yet shown interior), and line bundles from binomials (the library
+# cuts them out of supernatural tables).
+
+def reference_polytope_vertices(patterns, support):
+    """Extreme points, each point tested against all the other points."""
+    vectors = [tuple(Fraction(p.get(key, 0)) for key in support) for p in patterns]
+    return [patterns[k] for k, vec in enumerate(vectors)
+            if not _in_hull(vec, vectors[:k] + vectors[k + 1:])]
+
+
+def reference_line_bundle_table(n, a, window):
+    """O(a) on P^n from binomials: binomial(a + j + n, n) on row 0 for
+    a + j >= 0, binomial(-a - j - 1, n) on row n for a + j <= -n - 1."""
+    lo, hi = window
+    entries = {}
+    for j in range(lo, hi + 1):
+        if a + j >= 0:
+            v = comb(a + j + n, n)
+            if v:
+                entries[(0, j)] = Fraction(v)
+        elif a + j <= -n - 1:
+            v = comb(-a - j - 1, n)
+            if v:
+                entries[(n, j)] = Fraction(v)
+    chi = chi_from_roots([-a - k for k in range(1, n + 1)],
+                         Fraction(1, factorial(n)))
+    return CohomologyTable(n, window, entries, chi)
+
+
+def random_point_set(rng, dim, max_points=10):
+    """Distinct integer points in ``dim`` dimensions, in random order.
+
+    The points lie on a random affine subspace of dimension 0..dim, so
+    single points, collinear and coplanar sets come up as often as
+    full-dimensional ones; the direction vectors may themselves be
+    dependent, which lowers the dimension further.
+    """
+    rank = rng.randint(0, dim)
+    base = [rng.randint(-3, 3) for _ in range(dim)]
+    directions = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rank)]
+    points = {}
+    for _ in range(rng.randint(1, max_points)):
+        c = [rng.randint(-2, 2) for _ in range(rank)]
+        point = tuple(b + sum(ck * d[k] for ck, d in zip(c, directions))
+                      for k, b in enumerate(base))
+        points[point] = None
+    return list(points)

@@ -55,6 +55,29 @@ def test_peel_noncm_steps():
     assert remainder2.is_zero()
 
 
+def test_peel_refuses_an_absent_strand_position():
+    # the first absent position along the strand is the one reported
+    with pytest.raises(ValueError) as info:
+        peel(BettiTable(2, {(0, 0): 1}), DegreeSequence(0, (0, 1, 2), 2))
+    assert str(info.value) == "strand position (1, 1) absent from table"
+
+
+def test_peel_refuses_a_negative_strand_entry():
+    b = BettiTable(2, {(0, 0): 1, (1, 1): -2, (2, 2): 1})
+    with pytest.raises(ValueError) as info:
+        peel(b, DegreeSequence(0, (0, 1, 2), 2))
+    assert str(info.value) == "scale factor must be nonnegative, got -1"
+
+
+def test_peel_reports_a_negative_entry_before_an_absent_one():
+    # the minimum ratio is taken before either refusal, and a negative ratio
+    # lies below the zero ratio of an absent position
+    b = BettiTable(2, {(0, 0): 1, (2, 2): -3})
+    with pytest.raises(ValueError) as info:
+        peel(b, DegreeSequence(0, (0, 1, 2), 2))
+    assert str(info.value) == "scale factor must be nonnegative, got -3"
+
+
 def test_decompose_xy2():
     terms = list(decompose(BettiTable(2, XY2)))
     assert [(c, d.sequence.degrees, d.values) for c, d in terms] == [

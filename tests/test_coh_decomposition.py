@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import betticone.coh_decomposition as coh_decomposition
 from betticone import (CohomologyTable, InvalidTable, NotInCone, RootSequence,
                        TailGuardFailure, WindowTooSmall, add_tables,
-                       corner_roots, decompose_cohomology, line_bundle_table,
-                       p1_oracle, parse_table, peel_supernatural, scale,
-                       supernatural_table, validate)
+                       corner_roots, decompose_cohomology, is_member,
+                       line_bundle_table, p1_oracle, parse_table,
+                       peel_supernatural, scale, supernatural_table, validate)
 from betticone.tables import combine
 from helpers import random_root_chain, root_chain_combination
 
@@ -182,6 +182,14 @@ def test_valid_table_stopped_by_the_tail_guard():
     with pytest.raises(NotInCone) as info:
         p1_oracle(t)
     assert str(info.value) == "step 0: negative second difference -4 at j = 1"
+
+
+def test_is_member_takes_cohomology_tables():
+    assert is_member(rank3_bundle())
+    assert is_member(split_table())
+    assert not is_member(tail_guard_table())
+    with pytest.raises(InvalidTable):
+        is_member(CohomologyTable(1, (0, 2), {(0, 1): -1}, [0, 0]))
 
 
 def test_oracle_rejects_a_root_outside_the_window():

@@ -13,6 +13,7 @@ from betticone import (BoundViolation, BudgetExceeded, RootSequence,
                        parse_table, polytope_vertices, scale,
                        supernatural_table)
 from betticone.extension import _in_hull
+from helpers import random_point_set, reference_polytope_vertices
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,3 +175,35 @@ def test_hull_membership_exact():
     # collinear interior point that is not a midpoint of lattice neighbours
     assert _in_hull((F(1), F(0)), [(F(0), F(0)), (F(3), F(0))])
     assert not _in_hull((F(4), F(0)), [(F(0), F(0)), (F(3), F(0))])
+
+
+def _patterns(points):
+    support = [(0, k) for k in range(len(points[0]))]
+    return [{key: v for key, v in zip(support, p) if v} for p in points], support
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 4))
+def test_vertices_match_the_all_others_reference(seed, dim):
+    patterns, support = _patterns(random_point_set(random.Random(seed), dim))
+    assert (polytope_vertices(patterns, support)
+            == reference_polytope_vertices(patterns, support))
+
+
+def test_vertices_of_the_full_feasible_set_match_the_reference():
+    a, b = pair()
+    feasible = [p for p, _ in feasible_set(a, b)]
+    support = sorted(cancellation_bounds(a, b))
+    assert (polytope_vertices(feasible, support)
+            == reference_polytope_vertices(feasible, support))
+
+
+def test_a_repeated_vertex_keeps_its_last_copy():
+    # each copy lies in the hull of the other, so the all-others test drops
+    # both; testing against the survivors keeps the copy tested last
+    first, second, end = {}, {}, {(0, 0): 1}
+    patterns, support = [first, second, end], [(0, 0)]
+    vertices = polytope_vertices(patterns, support)
+    assert len(vertices) == 2
+    assert vertices[0] is second and vertices[1] is end
+    assert reference_polytope_vertices(patterns, support) == [end]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from betticone import (CohomologyTable, NotStaircase, RootSequence,
                        WindowTooSmall, chi_eval, corner_roots,
                        line_bundle_table, supernatural_table, validate)
+from helpers import reference_line_bundle_table
 
 F = Fraction
 
@@ -125,3 +126,18 @@ def test_consecutive_roots_leave_interior_row_empty():
     t = supernatural_table(RootSequence(2, (0, -1)), 1, (-4, 3))
     assert all(i != 1 for i, _ in t.entries)
     assert corner_roots(t).roots == (0, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(-8, 8), st.integers(-4, 8), st.integers(0, 12))
+def test_line_bundle_table_matches_binomials(n, a, offset, width):
+    # the staircase spans the n + 2 twists [-a - n - 1, -a]; windows start
+    # from 4 twists left of it to past its right end and are 1 to 13 twists
+    # wide, so some are narrower than it, some wider, some disjoint from it
+    lo = -a - n - 1 + offset
+    window = (lo, lo + width)
+    t = line_bundle_table(n, a, window)
+    reference = reference_line_bundle_table(n, a, window)
+    assert t.entries == reference.entries
+    assert t.chi == reference.chi
+    assert t.window == reference.window

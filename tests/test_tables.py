@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticone import (BettiTable, CohomologyTable, DimensionMismatch,
-                       NegativeEntry, add_tables, chi_eval, line_bundle_table,
-                       scale, subtract_checked, validate)
+                       NegativeEntry, RootSequence, add_tables, chi_eval,
+                       line_bundle_table, scale, subtract_checked,
+                       supernatural_table, validate)
+from betticone.tables import first_twists, peel_largest
 
 F = Fraction
 
@@ -153,3 +155,36 @@ def test_random_expression_two_ways():
         a = BettiTable(3, entries)
         b = scale(a, F(rng.randint(1, 4), rng.randint(1, 3)))
         assert subtract_checked(add_tables(a, b), b) == a
+
+
+def test_peel_largest_on_a_betti_table():
+    b = BettiTable(2, {(0, 0): 3, (1, 1): 4, (1, 3): 5, (2, 2): 1})
+    koszul = BettiTable(2, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    q, binding, rest = peel_largest(b, koszul)
+    assert (q, binding) == (1, (2, 2))
+    assert rest.entries == {(0, 0): 2, (1, 1): 2, (1, 3): 5}
+
+
+def test_peel_largest_breaks_ties_at_the_smallest_cell():
+    koszul = BettiTable(2, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    q, binding, rest = peel_largest(scale(koszul, 2), koszul)
+    assert (q, binding) == (2, (0, 0)) and rest.is_zero()
+    # O on P^1 is sigma(-1): every ratio is 3, the smallest cell is (0, 0)
+    sigma = line_bundle_table(1, 0, (-3, 2))
+    q, binding, rest = peel_largest(scale(sigma, 3), sigma)
+    assert (q, binding) == (3, (0, 0)) and rest.is_zero()
+
+
+def test_peel_largest_reports_a_zero_ratio():
+    koszul = BettiTable(2, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    q, binding, rest = peel_largest(BettiTable(2, {(0, 0): 1, (2, 2): 1}), koszul)
+    assert (q, binding) == (0, (1, 1))
+    assert rest.entries == {(0, 0): 1, (2, 2): 1}
+
+
+def test_first_twists_for_both_kinds():
+    b = BettiTable(3, {(0, 0): 1, (1, 3): 1, (1, 2): 1, (3, 7): 1})
+    assert first_twists(b) == {0: 0, 1: 2, 3: 7}
+    assert first_twists(BettiTable(3)) == {}
+    sigma = supernatural_table(RootSequence(2, (0, -3)), 1, (-6, 3))
+    assert first_twists(sigma) == {0: 1, 1: -2, 2: -6}
