@@ -86,15 +86,13 @@ def decompose(b, normalized=False):
     Coefficients are reported against smallest-integral diagrams unless
     ``normalized`` asks for first-entry-1 diagrams.  Raises NotInCone (or its
     StrandNotIncreasing refinement) when the strands fail to form a chain.
+    Each peel (q > 0) zeroes its binding cell and adds none, so the loop ends.
     """
     terms = []
     seqs = []
     truncations = []
     work = b
-    max_steps = len(b.entries)
     while not work.is_zero():
-        if len(terms) >= max_steps:
-            raise NotInCone(len(terms), "greedy loop failed to make progress")
         seq, truncated_at = _strand_info(work)
         pi = normalized_diagram(seq)
         q, work = _peel(work, pi)

@@ -16,8 +16,7 @@ from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smalle
 from .errors import BettiConeError, OracleMismatch, ParseError
 from .exchange import (parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
-from .extension import (cancellation_bounds, enumerate_patterns, feasible_set,
-                        polytope_vertices)
+from .extension import cancellation_bounds, decide_patterns, polytope_vertices
 from .stillman import scan
 from .supernatural import RootSequence, supernatural_table
 from .tables import BettiTable, CohomologyTable, validate
@@ -165,24 +164,21 @@ def _cmd_ext_polytope(args):
     if not (isinstance(A, CohomologyTable) and isinstance(B, CohomologyTable)):
         raise ParseError(0, "ext-polytope expects two cohomology table files")
     mode = "serre-symmetric" if args.symmetric else "full"
-    candidates = enumerate_patterns(A, B, mode=mode, budget=args.max_points,
-                                    serre_shift=args.serre_shift)
-    feasible = feasible_set(A, B, mode=mode, budget=args.max_points,
-                            serre_shift=args.serre_shift)
+    decided = decide_patterns(A, B, mode=mode, budget=args.max_points,
+                              serre_shift=args.serre_shift)
     bounds = cancellation_bounds(A, B)
     support = sorted(bounds)
     caps = {key: int(bounds[key]) for key in support}
-    feasible_keys = {tuple(p.get(key, 0) for key in support) for p, _ in feasible}
     print("# support " + " ".join(f"({i},{j})" for i, j in support))
     print("pattern\tfeasible\tbinding")
-    for pattern in candidates:
+    for pattern, table in decided:
         vec = tuple(pattern.get(key, 0) for key in support)
-        ok = vec in feasible_keys
+        ok = table is not None
         binding = [f"{i},{j}" for (i, j) in support
                    if pattern.get((i, j), 0) == caps[(i, j)] and caps[(i, j)] > 0]
         print(f"{_fmt_seq(vec)}\t{'Y' if ok else 'N'}\t"
               + (";".join(binding) if ok and binding else "-"))
-    feasible_patterns = [p for p, _ in feasible]
+    feasible_patterns = [p for p, table in decided if table is not None]
     if len(feasible_patterns) > 2000:
         print("# vertex report skipped: more than 2000 feasible points")
     else:

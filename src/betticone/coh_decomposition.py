@@ -11,7 +11,7 @@ from fractions import Fraction
 from .errors import InvalidTable, NotInCone, TailGuardFailure
 from .supernatural import (CohDecomposition, RootSequence, corner_roots,
                            supernatural_table)
-from .tables import CohomologyTable, combine, peel_largest, tail_violations, validate
+from .tables import CohomologyTable, peel_largest, tail_violations, validate
 
 
 def peel_supernatural(g, roots):
@@ -43,12 +43,15 @@ def decompose_cohomology(g):
     problems = validate(g)
     if problems:
         raise InvalidTable(problems)
+    return decompose_valid(g)
+
+
+def decompose_valid(g):
+    """``decompose_cohomology`` for a table known to be valid.  Each peel
+    (q > 0) zeroes its binding cell and adds none, so the loop ends."""
     terms = []
     work = g
-    max_steps = len(g.entries) + 1
     while not work.is_zero():
-        if len(terms) >= max_steps:
-            raise NotInCone(len(terms), "greedy loop failed to make progress")
         roots = corner_roots(work)
         q, work = peel_supernatural(work, roots)
         terms.append((q, roots))
@@ -58,13 +61,24 @@ def decompose_cohomology(g):
     return CohDecomposition(tuple(terms))
 
 
+def _running_sums(mult, twists):
+    # (j, sum of m_f |j - f| over the f already passed) along twists.
+    row = mass = 0
+    for j in twists:
+        yield j, row
+        mass += mult.get(j, 0)
+        row += mass
+
+
 def p1_oracle(g):
     """Independent P^1 decomposition via second differences.
 
     With T(j) = gamma_0(j) + gamma_1(j) (tails included), a table in the cone
     satisfies T = sum m_f |j - f|, so m_f is half the second difference of T
     at f.  Any negative second difference, or a reconstruction mismatch,
-    means the table is outside the cone.
+    means the table is outside the cone.  The rebuild shares no code with the
+    greedy: rows 0 and 1 are running sums of m_f (j - f) over f < j and of
+    m_f (f - j) over f > j, and chi = (-sum m_f f, sum m_f).
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
@@ -77,16 +91,17 @@ def p1_oracle(g):
     def T(j):
         return cells.get((0, j), 0) + cells.get((1, j), 0)
 
-    terms = []
+    mult = {}
     for f in range(lo, hi + 1):
         m = Fraction(T(f + 1) - 2 * T(f) + T(f - 1), 2)
         if m < 0:
             raise NotInCone(0, f"negative second difference {2 * m} at j = {f}")
         if m > 0:
-            terms.append((m, RootSequence(1, (f,))))
-    rebuilt = CohomologyTable(1, g.window)
-    for m, roots in terms:
-        rebuilt = combine(rebuilt, supernatural_table(roots, m, (lo - 1, hi + 1)))
-    if rebuilt != g:
+            mult[f] = m
+    twists = range(lo - 1, hi + 2)
+    entries = {(0, j): v for j, v in _running_sums(mult, twists) if v}
+    entries.update({(1, j): v for j, v in _running_sums(mult, reversed(twists)) if v})
+    chi = (-sum(m * f for f, m in mult.items()), sum(mult.values()))
+    if CohomologyTable(1, (lo - 1, hi + 1), entries, chi) != g:
         raise NotInCone(0, "second differences do not reconstruct the table")
-    return CohDecomposition(tuple(terms))
+    return CohDecomposition(tuple((m, RootSequence(1, (f,))) for f, m in mult.items()))

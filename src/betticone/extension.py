@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import product
 from math import floor, prod
 
-from .betti_decomposition import is_member
-from .errors import BoundViolation, BudgetExceeded, DimensionMismatch
-from .tables import CohomologyTable, add_tables
+from .coh_decomposition import decompose_valid
+from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
+                     InvalidTable, NotInCone)
+from .tables import CohomologyTable, add_tables, validate
 
 
 def cancellation_bounds(A, B):
@@ -104,21 +105,36 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     return patterns
 
 
-def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
-    """Candidate patterns whose extension table stays inside the cone.
+def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
+    """(pattern, extension table or None when it is outside the cone) for
+    every candidate, in enumeration order: lex by the pattern's value vector
+    over the bound support.
 
-    Returns (pattern, table) pairs in enumeration order, which is lex by the
-    pattern's value vector over the bound support; membership is decided by
-    the greedy decomposition.
+    Only the split table (the all-zero pattern's) is validated: a
+    cancellation within the rank bounds is chi-neutral, keeps every entry
+    nonnegative, adds no cell and leaves the window, the edge cells and the
+    tails alone, so every cancelled table is valid too.
     """
     patterns = enumerate_patterns(A, B, mode, budget, serre_shift)
     split = add_tables(A, B)
-    results = []
+    problems = validate(split)
+    if problems:
+        raise InvalidTable(problems)
+    decided = []
     for pattern in patterns:
         table = _cancel(split, pattern)
-        if is_member(table):
-            results.append((pattern, table))
-    return results
+        try:
+            decompose_valid(table)
+        except NotInCone:
+            table = None
+        decided.append((pattern, table))
+    return decided
+
+
+def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
+    """The (pattern, table) pairs of ``decide_patterns`` inside the cone."""
+    return [pair for pair in decide_patterns(A, B, mode, budget, serre_shift)
+            if pair[1] is not None]
 
 
 def _vector(pattern, support):

@@ -74,27 +74,31 @@ def supernatural_table(roots, multiplicity=1, window=None):
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{f[-1] - 1}, {f[0] + 1}]")
     unit = m / factorial(roots.n)
+    return CohomologyTable(roots.n, window, _cells(f, unit, lo, hi),
+                           chi_from_roots(f, unit))
+
+
+def _cells(f, unit, lo, hi):
+    # unit * |prod_k (j - f_k)| on [lo, hi], in the row counting roots above j.
     entries = {}
     for j in range(lo, hi + 1):
         product = prod(j - fk for fk in f)
         if product:
             row = sum(1 for fk in f if fk > j)
             entries[(row, j)] = unit * abs(product)
-    return CohomologyTable(roots.n, window, entries, chi_from_roots(f, unit))
+    return entries
 
 
 def line_bundle_table(n, a, window):
     """Cohomology table of O(a) on P^n over the given window.
 
     It is the unit supernatural table of the roots -a-1 > ... > -a-n (row 0
-    carries binomial(a + j + n, n), row n binomial(-a - j - 1, n)), built
-    over a window that holds its staircase and then cut down to ``window``.
+    carries binomial(a + j + n, n), row n binomial(-a - j - 1, n)), evaluated
+    on the window's twists only, so the window need not hold the staircase.
     """
-    lo, hi = window
-    roots = RootSequence(n, tuple(-a - k for k in range(1, n + 1)))
-    sigma = supernatural_table(roots, 1, (min(lo, -a - n - 1), max(hi, -a)))
-    entries = {(i, j): v for (i, j), v in sigma.entries.items() if lo <= j <= hi}
-    return CohomologyTable(n, window, entries, sigma.chi)
+    f = RootSequence(n, tuple(-a - k for k in range(1, n + 1))).roots
+    unit = Fraction(1, factorial(n))
+    return CohomologyTable(n, window, _cells(f, unit, *window), chi_from_roots(f, unit))
 
 
 def corner_roots(g):

@@ -206,10 +206,11 @@ def combine(a, b, coeff=1, nonneg=False):
 
 def peel_largest(g, unit):
     """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
-    unit's cells, ties going to the smallest cell; the caller refuses q <= 0.
+    unit's cells, ties going to the smallest cell; the caller refuses q <= 0,
+    so a zero ratio returns g itself.
     """
     q, binding = min((g.value(i, j) / s, (i, j)) for (i, j), s in unit.entries.items())
-    return q, binding, combine(g, unit, -q)
+    return q, binding, combine(g, unit, -q) if q else g
 
 
 def first_twists(t):

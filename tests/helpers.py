@@ -5,11 +5,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from betticone import (BettiTable, CohomologyTable, DegreeSequence,
-                       NegativeEntry, RootSequence, add_tables,
-                       normalized_diagram, scale, smallest_integral,
-                       supernatural_table)
+                       InvalidTable, NegativeEntry, NotInCone, RootSequence,
+                       add_tables, normalized_diagram, scale,
+                       smallest_integral, supernatural_table, validate)
 from betticone.extension import _in_hull
-from betticone.supernatural import chi_from_roots
+from betticone.supernatural import CohDecomposition, chi_from_roots
 
 
 def hk_solve(seq):
@@ -245,6 +245,35 @@ def reference_line_bundle_table(n, a, window):
     chi = chi_from_roots([-a - k for k in range(1, n + 1)],
                          Fraction(1, factorial(n)))
     return CohomologyTable(n, window, entries, chi)
+
+
+def reference_p1_oracle(g):
+    """``p1_oracle`` rebuilding its answer as a sum of supernatural tables,
+    one whole-window table per term, as the library once did."""
+    if g.n != 1:
+        raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
+    problems = validate(g)
+    if problems:
+        raise InvalidTable(problems)
+    lo, hi = g.window
+    cells = g.cells(lo - 1, hi + 1)
+
+    def T(j):
+        return cells.get((0, j), 0) + cells.get((1, j), 0)
+
+    terms = []
+    for f in range(lo, hi + 1):
+        m = Fraction(T(f + 1) - 2 * T(f) + T(f - 1), 2)
+        if m < 0:
+            raise NotInCone(0, f"negative second difference {2 * m} at j = {f}")
+        if m > 0:
+            terms.append((m, RootSequence(1, (f,))))
+    rebuilt = CohomologyTable(1, g.window)
+    for m, roots in terms:
+        rebuilt = add_tables(rebuilt, supernatural_table(roots, m, (lo - 1, hi + 1)))
+    if rebuilt != g:
+        raise NotInCone(0, "second differences do not reconstruct the table")
+    return CohDecomposition(tuple(terms))
 
 
 def random_point_set(rng, dim, max_points=10):

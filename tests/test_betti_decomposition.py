@@ -203,3 +203,23 @@ def test_peel_reduces_support_on_strand(seed):
         assert len(work.entries) < before
         steps += 1
     assert steps <= len(table.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_every_successful_peel_drops_a_cell_and_adds_none(seed):
+    # the greedy loop needs no step bound: each peel that succeeds leaves
+    # strictly fewer stored cells, also on tables outside the cone
+    rng = random.Random(seed)
+    _, work = chain_combination(rng, random_chain(rng, vars_count=rng.randint(1, 5)))
+    entries = dict(work.entries)
+    for _ in range(rng.randint(0, 3)):
+        entries[(rng.randint(0, 5), rng.randint(-10, 10))] = F(rng.choice([-2, -1, 1, 3]))
+    work = BettiTable(work.vars, entries)
+    while not work.is_zero():
+        try:
+            _, rest = peel(work, min_strand(work))
+        except ValueError:
+            break
+        assert set(rest.entries) < set(work.entries)
+        work = rest

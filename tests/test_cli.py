@@ -2,6 +2,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import betticone.cli as cli
+import betticone.coh_decomposition as coh_decomposition
+import betticone.extension as extension
+from betticone import CohomologyTable, line_bundle_table, serialize_table
 from betticone.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -249,3 +253,46 @@ def test_deterministic_output(capsys):
         second = run_cli(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+def _ext_polytope_files(tmp_path, **tables):
+    paths = []
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.ct"
+        path.write_text(serialize_table(table))
+        paths.append(str(path))
+    return paths
+
+
+def test_ext_polytope_prints_nothing_when_a_candidate_raises(tmp_path, capsys):
+    paths = _ext_polytope_files(tmp_path, a=line_bundle_table(1, -5, (-3, 3)),
+                                b=line_bundle_table(1, 5, (-3, 3)))
+    code, out, err = run_cli(capsys, "ext-polytope", *paths)
+    assert (code, out) == (1, "")
+    assert err == "window-too-small: window [-3, 3] must contain [-5, -3]\n"
+
+
+def test_ext_polytope_prints_nothing_for_an_invalid_table(tmp_path, capsys):
+    paths = _ext_polytope_files(tmp_path, a=CohomologyTable(1, (-3, 3), {(0, 0): 1}, [1, 1]),
+                                b=line_bundle_table(1, 5, (-3, 3)))
+    code, out, err = run_cli(capsys, "ext-polytope", *paths)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid-table: ")
+
+
+def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):
+    calls = dict.fromkeys(["enumerate_patterns", "add_tables", "validate",
+                           "cancellation_bounds"], 0)
+    for module in (extension, cli, coh_decomposition):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli(capsys, "ext-polytope", str(FIXTURES / "p1_o_minus2_x5.ct"),
+                           str(FIXTURES / "p1_o_plus2_x5.ct"))
+    assert code == 0 and out.count("\tY\t") == 55
+    bounds_calls = calls.pop("cancellation_bounds")
+    assert calls == {"enumerate_patterns": 1, "add_tables": 1, "validate": 1}
+    assert bounds_calls <= 2

@@ -13,7 +13,7 @@ from betticone import (CohomologyTable, InvalidTable, NotInCone, RootSequence,
                        line_bundle_table, p1_oracle, parse_table,
                        peel_supernatural, scale, supernatural_table, validate)
 from betticone.tables import combine
-from helpers import random_root_chain, root_chain_combination
+from helpers import random_root_chain, reference_p1_oracle, root_chain_combination
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -247,3 +247,70 @@ def test_decompose_validates_once(monkeypatch, table):
     except NotInCone:
         pass
     assert len(calls) == 1
+
+
+def random_p1_table(rng):
+    """A P^1 chain combination, then up to two moves (a chi-neutral dent, a
+    narrower window, a stray cell) so that every oracle outcome turns up."""
+    _, t = root_chain_combination(rng, random_root_chain(rng, 1, max_terms=6))
+    for _ in range(rng.randint(0, 2)):
+        move = rng.randrange(3)
+        lo, hi = t.window
+        if move == 0:
+            t = chi_neutral_dent(rng, t)
+        elif move == 1:
+            lo, hi = lo + rng.randint(0, 4), hi - rng.randint(0, 4)
+            if lo <= hi:
+                t = CohomologyTable(1, (lo, hi), {(i, j): v for (i, j), v in t.entries.items()
+                                                  if lo <= j <= hi}, t.chi)
+        else:
+            stray = CohomologyTable(1, t.window, {(rng.randint(0, 1), rng.randint(lo, hi)): 1})
+            t = combine(t, stray)
+    return t
+
+
+def outcome(oracle, t):
+    try:
+        return [(c, r.roots) for c, r in oracle(t)]
+    except (InvalidTable, NotInCone) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_oracle_matches_the_supernatural_rebuild(seed):
+    t = random_p1_table(random.Random(seed))
+    assert outcome(p1_oracle, t) == outcome(reference_p1_oracle, t)
+
+
+def test_oracle_builds_no_supernatural_table(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return supernatural_table(*args)
+    monkeypatch.setattr(coh_decomposition, "supernatural_table", counted)
+    assert len(p1_oracle(split_table())) == 2
+    with pytest.raises(NotInCone):
+        p1_oracle(line_bundle_table(1, 0, (0, 5)))
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(0, 2))
+def test_every_successful_peel_drops_a_cell_and_adds_none(seed, dents):
+    # the greedy loop needs no step bound: each peel that succeeds leaves
+    # strictly fewer stored cells, also on tables outside the cone
+    rng = random.Random(seed)
+    _, work = root_chain_combination(rng, random_root_chain(rng, rng.randint(1, 3)))
+    for _ in range(dents):
+        work = chi_neutral_dent(rng, work)
+    if validate(work):
+        return
+    while not work.is_zero():
+        try:
+            _, rest = peel_supernatural(work, corner_roots(work))
+        except (NotInCone, WindowTooSmall):
+            break
+        assert set(rest.entries) < set(work.entries)
+        work = rest

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone.supernatural as supernatural
 from betticone import (CohomologyTable, NotStaircase, RootSequence,
                        WindowTooSmall, chi_eval, corner_roots,
                        line_bundle_table, supernatural_table, validate)
@@ -141,3 +143,26 @@ def test_line_bundle_table_matches_binomials(n, a, offset, width):
     assert t.entries == reference.entries
     assert t.chi == reference.chi
     assert t.window == reference.window
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(-8, 8), st.sampled_from([-1, 1]), st.integers(0, 12))
+def test_far_line_bundle_windows_match_binomials(n, a, side, width):
+    # windows 10^5 twists left or right of the staircase
+    lo = -a + side * 10 ** 5
+    window = (lo, lo + width)
+    t = line_bundle_table(n, a, window)
+    reference = reference_line_bundle_table(n, a, window)
+    assert (t.entries, t.chi, t.window) == (reference.entries, reference.chi, reference.window)
+
+
+def test_line_bundle_table_evaluates_only_its_window(monkeypatch):
+    calls = []
+
+    def counted(factors):
+        calls.append(1)
+        return prod(factors)
+    monkeypatch.setattr(supernatural, "prod", counted)
+    t = line_bundle_table(2, 0, (2000, 2010))
+    assert len(calls) == 11
+    assert t.entries == reference_line_bundle_table(2, 0, (2000, 2010)).entries

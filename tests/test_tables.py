@@ -9,7 +9,8 @@ from betticone import (BettiTable, CohomologyTable, DimensionMismatch,
                        NegativeEntry, RootSequence, add_tables, chi_eval,
                        line_bundle_table, scale, subtract_checked,
                        supernatural_table, validate)
-from betticone.tables import first_twists, peel_largest
+import betticone.tables as tables
+from betticone.tables import combine, first_twists, peel_largest
 
 F = Fraction
 
@@ -180,6 +181,20 @@ def test_peel_largest_reports_a_zero_ratio():
     q, binding, rest = peel_largest(BettiTable(2, {(0, 0): 1, (2, 2): 1}), koszul)
     assert (q, binding) == (0, (1, 1))
     assert rest.entries == {(0, 0): 1, (2, 2): 1}
+
+
+def test_a_zero_ratio_peel_builds_no_remainder(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return combine(*args, **kwargs)
+    monkeypatch.setattr(tables, "combine", counted)
+    koszul = BettiTable(2, {(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    g = BettiTable(2, {(0, 0): 1, (2, 2): 1})
+    q, _, rest = peel_largest(g, koszul)
+    assert q == 0 and rest is g
+    assert calls == []
 
 
 def test_first_twists_for_both_kinds():
