@@ -13,7 +13,7 @@ from pathlib import Path
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, p1_oracle
 from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smallest_integral
-from .errors import BettiConeError, OracleMismatch, ParseError
+from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
 from .extension import cancellation_bounds, decide_patterns, polytope_vertices
@@ -121,15 +121,27 @@ def _cmd_supernatural(args):
     return 0
 
 
+def _oracle_terms(table):
+    # The P^1 oracle's terms, or None when it finds the table outside the cone.
+    try:
+        return tuple(p1_oracle(table).terms)
+    except NotInCone:
+        return None
+
+
 def _cmd_coh_decompose(args):
     table = _load(args.table)
     if not isinstance(table, CohomologyTable):
         raise ParseError(0, "coh-decompose expects a cohomology table file")
-    result = decompose_cohomology(table)
-    if args.check_oracle and table.n == 1:
-        oracle = p1_oracle(table)
-        if tuple(oracle.terms) != tuple(result.terms):
-            raise OracleMismatch("oracle and greedy decomposition disagree")
+    check = args.check_oracle and table.n == 1
+    try:
+        result = decompose_cohomology(table)
+    except NotInCone:
+        if check and _oracle_terms(table) is not None:
+            raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
+        raise
+    if check and _oracle_terms(table) != tuple(result.terms):
+        raise OracleMismatch("oracle and greedy decomposition disagree")
     for coeff, roots in result:
         if args.integral:
             unit = supernatural_table(roots, 1, table.window)
@@ -179,12 +191,8 @@ def _cmd_ext_polytope(args):
         print(f"{_fmt_seq(vec)}\t{'Y' if ok else 'N'}\t"
               + (";".join(binding) if ok and binding else "-"))
     feasible_patterns = [p for p, table in decided if table is not None]
-    if len(feasible_patterns) > 2000:
-        print("# vertex report skipped: more than 2000 feasible points")
-    else:
-        for pattern in polytope_vertices(feasible_patterns, support):
-            vec = tuple(pattern.get(key, 0) for key in support)
-            print(f"vertex\t{_fmt_seq(vec)}")
+    for pattern in polytope_vertices(feasible_patterns, support):
+        print(f"vertex\t{_fmt_seq(pattern.get(key, 0) for key in support)}")
     return 0
 
 

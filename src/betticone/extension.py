@@ -10,6 +10,7 @@ form the integer points of a polytope.
 from fractions import Fraction
 from itertools import product
 from math import floor, prod
+from operator import mul
 
 from .coh_decomposition import decompose_valid
 from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
@@ -142,67 +143,62 @@ def _vector(pattern, support):
 
 
 def polytope_vertices(patterns, support):
-    """Extreme points of the convex hull of the given integer patterns.
+    """Extreme points of the convex hull of the given integer patterns, in
+    input order; of a point given twice, the last copy is kept.
 
-    Each point is tested against the survivors only: a point in the hull of
-    the others is dropped, which leaves the hull unchanged.  Of a point given
-    twice, the last copy survives.
+    Clarkson's method: each point is tested against the vertices found so
+    far.  While it is separated from their hull by a direction a, the point
+    maximizing (a.p, p, index) is added; it is the lex-largest point of the
+    face maximizing a, so a vertex, and it lies outside the current hull.
     """
     vectors = [tuple(Fraction(v) for v in _vector(p, support)) for p in patterns]
-    survivors = list(range(len(vectors)))
-    for k, vec in enumerate(vectors):
-        if _in_hull(vec, [vectors[s] for s in survivors if s != k]):
-            survivors.remove(k)
-    return [patterns[k] for k in survivors]
+
+    def top(a):
+        return max(range(len(vectors)),
+                   key=lambda k: (sum(map(mul, a, vectors[k])), vectors[k], k))
+    found = {top([0] * len(support))} if vectors else set()
+    for vec in vectors:
+        while (a := _separate(vec, [vectors[k] for k in found])) is not None:
+            found.add(top(a))
+    return [patterns[k] for k in sorted(found)]
 
 
 def _in_hull(x, points):
-    """Exact membership of x in the convex hull of points (phase-I simplex)."""
-    if not points:
-        return False
+    """Exact membership of x in the convex hull of points."""
+    return _separate(x, points) is None
+
+
+def _separate(x, points):
+    """None when x lies in the convex hull of points, else a direction a with
+    a.p < a.x for every point p.
+
+    Phase-I simplex with Bland's rule on sum lambda_s (p_s - x) = 0,
+    sum lambda_s = 1.  At the optimum the cost row under artificial column r
+    holds y_r - 1 for duals y with y.(p_s - x, 1) <= 0 for every s, and y_d
+    is the phase-I objective: x is in the hull iff y_d = 0, and otherwise
+    a = (y_0, ..., y_{d-1}) has a.(p_s - x) <= -y_d < 0.
+    """
     d = len(x)
-    rows = d + 1
     m = len(points)
-    # Constraints: sum lambda_s * points[s] = x and sum lambda_s = 1.
-    A = [[Fraction(p[k]) for p in points] for k in range(d)]
-    A.append([Fraction(1)] * m)
-    b = [Fraction(v) for v in x] + [Fraction(1)]
-    for r in range(rows):
-        if b[r] < 0:
-            A[r] = [-a for a in A[r]]
-            b[r] = -b[r]
-    # Tableau with one artificial variable per row; minimize their sum.
-    width = m + rows
-    tableau = [A[r] + [Fraction(int(r == s)) for s in range(rows)] + [b[r]]
-               for r in range(rows)]
-    basis = [m + r for r in range(rows)]
-    cost = [sum(tableau[r][c] for r in range(rows)) for c in range(width)]
-    for r in range(rows):
-        cost[m + r] -= 1
-    objective = sum(b)
-    while True:
-        entering = next((c for c in range(width) if cost[c] > 0), None)
-        if entering is None:
-            break
-        pivot_row = None
-        best = None
-        for r in range(rows):
-            a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best
-                                                    and basis[r] < basis[pivot_row]):
-                    best, pivot_row = ratio, r
-        if pivot_row is None:
-            break  # unbounded cannot happen for this bounded program
+    A = [[Fraction(p[k] - x[k]) for p in points] for k in range(d)] + [[Fraction(1)] * m]
+    # One artificial variable per row; the right-hand side is (0, ..., 0, 1).
+    tableau = [A[r] + [Fraction(int(r == s)) for s in range(d + 1)] + [Fraction(int(r == d))]
+               for r in range(d + 1)]
+    basis = [m + r for r in range(d + 1)]
+    cost = [sum(column) for column in zip(*A)] + [Fraction(0)] * (d + 1)
+    while (entering := next((c for c, v in enumerate(cost) if v > 0), None)) is not None:
+        # The entering column has a positive entry: the phase-I objective is
+        # bounded below by 0, so the program is never unbounded.
+        pivot_row = min((r for r in range(d + 1) if tableau[r][entering] > 0),
+                        key=lambda r: (tableau[r][-1] / tableau[r][entering], basis[r]))
         pivot = tableau[pivot_row][entering]
         tableau[pivot_row] = [a / pivot for a in tableau[pivot_row]]
-        for r in range(rows):
+        for r in range(d + 1):
             if r != pivot_row and tableau[r][entering] != 0:
                 f = tableau[r][entering]
                 tableau[r] = [a - f * p for a, p in zip(tableau[r], tableau[pivot_row])]
         f = cost[entering]
-        cost = [a - f * p for a, p in zip(cost, tableau[pivot_row][:-1])]
-        objective -= f * tableau[pivot_row][-1]
+        cost = [a - f * p for a, p in zip(cost, tableau[pivot_row])]
         basis[pivot_row] = entering
-    return objective == 0
+    y = [c + 1 for c in cost[m:]]
+    return None if y[d] == 0 else y[:d]

@@ -107,14 +107,17 @@ def corner_roots(g):
     f_i is one less than the smallest twist supporting row i - 1, except
     that a row minimum at or above the previous root cannot belong to the
     corner staircase (the corner's row is empty there, so its roots are
-    forced consecutive: f_i = f_{i-1} - 1).  Raises NotStaircase when rows
-    0 or n are empty on the window.
+    forced consecutive: f_i = f_{i-1} - 1).  When row 0 or n is empty on the
+    window, raises NotStaircase if chi vanishes, and WindowTooSmall if not:
+    the row then continues past the window edge, and so does its corner.
     """
     minima = first_twists(g)
-    if 0 not in minima:
-        raise NotStaircase("row 0 has no support on the window")
-    if g.n not in minima:
-        raise NotStaircase(f"row {g.n} has no support on the window")
+    for row in (0, g.n):
+        if row not in minima and any(g.chi):
+            raise WindowTooSmall(f"row {row} has no support on the window "
+                                 f"but continues past its edge")
+        if row not in minima:
+            raise NotStaircase(f"row {row} has no support on the window")
     roots = [minima[0] - 1]
     for i in range(2, g.n + 1):
         row = i - 1

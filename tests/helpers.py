@@ -2,6 +2,7 @@
 random table generators."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 from betticone import (BettiTable, CohomologyTable, DegreeSequence,
@@ -217,15 +218,62 @@ def dense_validate(t):
 
 
 # References computed another way than the library: every hull point
-# tested against all the others (the library tests it against the points
-# not yet shown interior), and line bundles from binomials (the library
-# cuts them out of supernatural tables).
+# tested against all the others (the library tests it against the vertices
+# found so far), by the library's simplex and by Caratheodory elimination,
+# and line bundles from binomials (the library cuts them out of
+# supernatural tables).
 
 def reference_polytope_vertices(patterns, support):
     """Extreme points, each point tested against all the other points."""
     vectors = [tuple(Fraction(p.get(key, 0)) for key in support) for p in patterns]
     return [patterns[k] for k, vec in enumerate(vectors)
             if not _in_hull(vec, vectors[:k] + vectors[k + 1:])]
+
+
+def caratheodory_inside(x, points):
+    """x lies in the convex hull of points, decided without any LP.
+
+    By Caratheodory's theorem x is in the hull iff it has nonnegative
+    barycentric coordinates over some affinely independent subset of at most
+    d + 1 of the points; each subset is solved by exact Gauss-Jordan
+    elimination, and a dependent one is skipped (a smaller subset covers it).
+    """
+    for size in range(1, len(x) + 2):
+        for subset in combinations(points, size):
+            coords = _barycentric(x, subset)
+            if coords is not None and all(c >= 0 for c in coords):
+                return True
+    return False
+
+
+def _barycentric(x, subset):
+    # lambda with sum lambda_s p_s = x and sum lambda_s = 1, or None when the
+    # points are affinely dependent or x is off their affine hull.
+    s = len(subset)
+    rows = [[Fraction(p[k]) for p in subset] + [Fraction(x[k])] for k in range(len(x))]
+    rows.append([Fraction(1)] * (s + 1))
+    for col in range(s):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    if any(row[-1] != 0 for row in rows[s:]):
+        return None
+    return [rows[k][-1] for k in range(s)]
+
+
+def caratheodory_vertices(patterns, support):
+    """Extreme points of distinct patterns: those outside the hull of all the
+    others by ``caratheodory_inside``.  Shares no code with the library's
+    simplex."""
+    vectors = [tuple(p.get(key, 0) for key in support) for p in patterns]
+    return [patterns[k] for k, vec in enumerate(vectors)
+            if not caratheodory_inside(vec, vectors[:k] + vectors[k + 1:])]
 
 
 def reference_line_bundle_table(n, a, window):

@@ -7,6 +7,8 @@ import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
 from betticone import CohomologyTable, line_bundle_table, serialize_table
 from betticone.cli import main
+from betticone.errors import NotInCone
+from betticone.supernatural import CohDecomposition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,3 +298,34 @@ def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):
     bounds_calls = calls.pop("cancellation_bounds")
     assert calls == {"enumerate_patterns": 1, "add_tables": 1, "validate": 1}
     assert bounds_calls <= 2
+
+
+def test_outer_row_past_the_window_is_window_too_small(capsys):
+    # 4 sigma(-5) on the window [-6, -5]: row 0 starts right of the window, so
+    # the greedy cannot see its corner; it used to answer "in-cone no"
+    path = str(FIXTURES / "p1_corner_past_window.ct")
+    err = "window-too-small: row 0 has no support on the window but continues past its edge\n"
+    assert run_cli(capsys, "member", path) == (1, "", err)
+    assert run_cli(capsys, "coh-decompose", path) == (1, "", err)
+    assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == (1, "", err)
+
+
+def test_check_oracle_flags_an_oracle_no_against_a_greedy_yes(monkeypatch, capsys):
+    def rejects(table):
+        raise NotInCone(0, "stub")
+    monkeypatch.setattr(cli, "p1_oracle", rejects)
+    code, out, err = run_cli(capsys, "coh-decompose", str(FIXTURES / "p1_split.ct"),
+                             "--check-oracle")
+    assert (code, out) == (1, "")
+    assert err == "oracle-mismatch: oracle and greedy decomposition disagree\n"
+
+
+def test_check_oracle_flags_an_oracle_yes_against_a_greedy_no(monkeypatch, capsys):
+    path = str(FIXTURES / "p1_tail_guard.ct")
+    monkeypatch.setattr(cli, "p1_oracle", lambda table: CohDecomposition(()))
+    code, out, err = run_cli(capsys, "coh-decompose", path, "--check-oracle")
+    assert (code, out) == (1, "")
+    assert err == "oracle-mismatch: the oracle decomposes a table the greedy rejects\n"
+    monkeypatch.undo()
+    assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == run_cli(
+        capsys, "coh-decompose", path)

@@ -14,6 +14,7 @@ from betticone import (BoundViolation, BudgetExceeded, RootSequence,
                        supernatural_table)
 from betticone.extension import _in_hull
 from helpers import random_point_set, reference_polytope_vertices
+from helpers import caratheodory_inside, caratheodory_vertices
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -207,3 +208,43 @@ def test_a_repeated_vertex_keeps_its_last_copy():
     assert len(vertices) == 2
     assert vertices[0] is second and vertices[1] is end
     assert reference_polytope_vertices(patterns, support) == [end]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 4))
+def test_vertices_match_the_caratheodory_reference(seed, dim):
+    patterns, support = _patterns(random_point_set(random.Random(seed), dim))
+    assert (polytope_vertices(patterns, support)
+            == caratheodory_vertices(patterns, support))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 4))
+def test_separating_direction_is_strict(seed, dim):
+    rng = random.Random(seed)
+    points = [tuple(F(v) for v in p) for p in random_point_set(rng, dim, max_points=8)]
+    outside = tuple(F(rng.randint(-5, 5)) for _ in range(dim))
+    for k, x in enumerate(points + [outside]):
+        others = points[:k] + points[k + 1:]
+        a = extension._separate(x, others)
+        assert (a is None) == caratheodory_inside(x, others)
+        if a is not None:
+            ax = sum(ai * xi for ai, xi in zip(a, x))
+            assert all(sum(ai * pi for ai, pi in zip(a, p)) < ax for p in others)
+
+
+def test_vertices_of_the_k3_triangle_take_one_lp_per_point(monkeypatch):
+    a = scale(line_bundle_table(1, -2, (-6, 4)), 15)
+    b = scale(line_bundle_table(1, 2, (-6, 4)), 15)
+    feasible = [p for p, _ in feasible_set(a, b, mode="serre-symmetric")]
+    assert len(feasible) == 136
+    sizes = []
+    separate = extension._separate
+
+    def counted(x, points):
+        sizes.append(len(points))
+        return separate(x, points)
+    monkeypatch.setattr(extension, "_separate", counted)
+    vertices = polytope_vertices(feasible, sorted(cancellation_bounds(a, b)))
+    assert len(vertices) == 3
+    assert len(sizes) <= 139 and max(sizes) <= 3
