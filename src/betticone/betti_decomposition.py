@@ -7,12 +7,13 @@ exactly when this empties the table along a chain of degree sequences.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 
 from .coh_decomposition import decompose_cohomology
 from .diagrams import (DegreeSequence, integral_scale, is_chain,
                        normalized_diagram, smallest_integral)
 from .errors import NotInCone, StrandNotIncreasing
-from .tables import BettiTable, combine, first_twists, peel_largest
+from .tables import BettiTable, combine, first_twists
 
 
 @dataclass(frozen=True)
@@ -31,15 +32,15 @@ class BettiDecomposition:
         return len(self.terms)
 
 
-def _strand_info(b):
-    # Returns the top strand plus the column (or None) at which a nonempty
-    # column with non-increasing minimum forced truncation.
-    minima = first_twists(b)
+def _strand_info(minima, vars):
+    # The top strand of a table with the given column minima, plus the
+    # column (or None) at which a nonempty column with non-increasing
+    # minimum forced truncation.
     a = min(minima)
     degrees = [minima[a]]
     truncated_at = None
     i = a + 1
-    while len(degrees) < b.vars + 1:
+    while len(degrees) < vars + 1:
         if i not in minima:
             break
         if minima[i] <= degrees[-1]:
@@ -47,7 +48,7 @@ def _strand_info(b):
             break
         degrees.append(minima[i])
         i += 1
-    return DegreeSequence(a, tuple(degrees), b.vars), truncated_at
+    return DegreeSequence(a, tuple(degrees), vars), truncated_at
 
 
 def min_strand(b):
@@ -59,7 +60,7 @@ def min_strand(b):
     """
     if b.is_zero():
         raise ValueError("zero table has no strand")
-    return _strand_info(b)[0]
+    return _strand_info(first_twists(b), b.vars)[0]
 
 
 def peel(b, seq):
@@ -68,16 +69,44 @@ def peel(b, seq):
     q is the minimum ratio along the strand, so the remainder stays
     nonnegative and at least one strand entry reaches zero.
     """
-    return _peel(b, normalized_diagram(seq))
+    work = dict(b.entries)
+    q = _peel(work, normalized_diagram(seq))
+    return q, BettiTable(b.vars, work)
 
 
-def _peel(b, pi):
-    q, binding, remainder = peel_largest(b, pi.table())
+def _peel(work, pi):
+    # peel on a mutable cell map: q * pi comes off the strand's cells only,
+    # ties for the binding cell going to the smallest one.
+    seq = pi.sequence
+    strand = [((seq.start + k, d), v)
+              for k, (d, v) in enumerate(zip(seq.degrees, pi.values))]
+    q, binding = min((work.get(key, 0) / v, key) for key, v in strand)
     if q < 0:
         raise ValueError(f"scale factor must be nonnegative, got {q}")
     if q == 0:
         raise ValueError(f"strand position {binding} absent from table")
-    return q, remainder
+    for key, v in strand:
+        rest = work[key] - q * v
+        if rest:
+            work[key] = rest
+        else:
+            del work[key]
+    return q
+
+
+def _minima(work, columns):
+    # Smallest stored degree of every nonempty column.  Each column keeps a
+    # min-heap of its degrees; a degree whose cell was peeled away is
+    # dropped when it reaches the top.
+    minima = {}
+    for i, heap in list(columns.items()):
+        while heap and (i, heap[0]) not in work:
+            heappop(heap)
+        if heap:
+            minima[i] = heap[0]
+        else:
+            del columns[i]
+    return minima
 
 
 def decompose(b, normalized=False):
@@ -86,16 +115,22 @@ def decompose(b, normalized=False):
     Coefficients are reported against smallest-integral diagrams unless
     ``normalized`` asks for first-entry-1 diagrams.  Raises NotInCone (or its
     StrandNotIncreasing refinement) when the strands fail to form a chain.
-    Each peel (q > 0) zeroes its binding cell and adds none, so the loop ends.
+    Each peel (q > 0) zeroes its binding cell and adds none, so the loop
+    ends, and the column heaps never need a degree added.
     """
     terms = []
     seqs = []
     truncations = []
-    work = b
-    while not work.is_zero():
-        seq, truncated_at = _strand_info(work)
+    work = dict(b.entries)
+    columns = {}
+    for i, d in work:
+        columns.setdefault(i, []).append(d)
+    for heap in columns.values():
+        heapify(heap)
+    while work:
+        seq, truncated_at = _strand_info(_minima(work, columns), b.vars)
         pi = normalized_diagram(seq)
-        q, work = _peel(work, pi)
+        q = _peel(work, pi)
         if normalized:
             terms.append((q, pi))
         else:

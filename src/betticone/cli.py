@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .betti_decomposition import decompose, is_member
-from .coh_decomposition import decompose_cohomology, p1_oracle
+from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
 from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smallest_integral
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (parse_rational, parse_table, pretty_betti,
@@ -133,15 +133,19 @@ def _cmd_coh_decompose(args):
     table = _load(args.table)
     if not isinstance(table, CohomologyTable):
         raise ParseError(0, "coh-decompose expects a cohomology table file")
-    check = args.check_oracle and table.n == 1
-    try:
+    if args.check_oracle and table.n == 1:
+        # The oracle validates the table, so the greedy need not again.
+        expected = _oracle_terms(table)
+        try:
+            result = decompose_valid(table)
+        except NotInCone:
+            if expected is not None:
+                raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
+            raise
+        if expected != tuple(result.terms):
+            raise OracleMismatch("oracle and greedy decomposition disagree")
+    else:
         result = decompose_cohomology(table)
-    except NotInCone:
-        if check and _oracle_terms(table) is not None:
-            raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
-        raise
-    if check and _oracle_terms(table) != tuple(result.terms):
-        raise OracleMismatch("oracle and greedy decomposition disagree")
     for coeff, roots in result:
         if args.integral:
             unit = supernatural_table(roots, 1, table.window)

@@ -7,30 +7,58 @@ difference oracle on P^1 cross-checks the whole pipeline.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import InvalidTable, NotInCone, TailGuardFailure
-from .supernatural import (CohDecomposition, RootSequence, corner_roots,
-                           supernatural_table)
-from .tables import CohomologyTable, peel_largest, tail_violations, validate
+# supernatural_table is not called here; tests count its calls through this
+# name to show that the greedy and the oracle build no sigma table.
+from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window,
+                           chi_from_roots, corner_roots, supernatural_table)
+from .tables import CohomologyTable, Numerators, validate
 
 
 def peel_supernatural(g, roots):
-    """Largest q with g - q * sigma_roots nonnegative on the window.
-
-    g must be valid (``decompose_cohomology`` validates its input once).  q
-    is the minimum ratio over the unit table's cells, so when q > 0 every
-    cell of sigma lies in g's support and the peel adds no cell, drives none
-    negative and leaves rows, window and edge cells alone; the Euler identity
-    holds by linearity.  Only the signs of the polynomial tails can break, so
-    the remainder is checked with ``tail_violations`` alone.
+    """Largest q with g - q * sigma_roots nonnegative on the window, and
+    that remainder.  g must be valid (``decompose_cohomology`` validates its
+    input once); see ``_peel``.
     """
-    q, binding, remainder = peel_largest(g, supernatural_table(roots, 1, g.window))
-    if q == 0:
+    work = Numerators(g)
+    q = _peel(work, roots)
+    return q, work.table()
+
+
+def _peel(work, roots):
+    """Subtract the largest multiple q of the unit supernatural table
+    sigma_roots from a valid working table in place, and return q.
+
+    sigma's cells are the ints P = |prod (j - f_k)| over n!, so the ratio at
+    a cell with numerator N is N n! / (den P); the minimum is found by cross
+    multiplication, ties going to the smallest cell.  When q > 0 every cell
+    of sigma lies in the support, so the peel adds no cell, drives none
+    negative and leaves rows, window and edge cells alone; the Euler
+    identity holds by linearity.  Only the signs of the polynomial tails can
+    break, so the remainder is checked with ``Numerators.tail_violations``
+    alone.
+    """
+    f = roots.roots
+    _check_window(f, *work.window)
+    sigma = list(_cells(f, *work.window))
+    entries = work.entries
+    binding = None
+    for key, x in sigma:
+        v = entries.get(key, 0)
+        if binding is None or v * p < c * x:
+            binding, c, p = key, v, x
+            if not v:  # a valid table has no negative cell
+                break
+    if not c:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    problems = tail_violations(remainder)
+    q = Fraction(c * factorial(roots.n), work.den * p)
+    work.subtract(c, p, sigma, chi_from_roots(f, 1))
+    problems = work.tail_violations()
     if problems:
         raise TailGuardFailure("; ".join(problems))
-    return q, remainder
+    return q
 
 
 def decompose_cohomology(g):
@@ -50,11 +78,10 @@ def decompose_valid(g):
     """``decompose_cohomology`` for a table known to be valid.  Each peel
     (q > 0) zeroes its binding cell and adds none, so the loop ends."""
     terms = []
-    work = g
+    work = Numerators(g)
     while not work.is_zero():
         roots = corner_roots(work)
-        q, work = peel_supernatural(work, roots)
-        terms.append((q, roots))
+        terms.append((_peel(work, roots), roots))
     for step, ((_, f), (_, h)) in enumerate(zip(terms, terms[1:]), start=1):
         if any(a > b for a, b in zip(f.roots, h.roots)):
             raise NotInCone(step, f"roots {f} and {h} are not termwise nondecreasing")

@@ -49,11 +49,12 @@ class CohDecomposition:
 
 
 def chi_from_roots(roots, lead):
-    """Coefficients c_0..c_n of lead * prod_k (x - f_k) in the monomial basis."""
-    coeffs = [Fraction(lead)]
+    """Coefficients c_0..c_n of lead * prod_k (x - f_k) in the monomial
+    basis, ints for an int lead."""
+    coeffs = [lead]
     for f in roots:
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [s - f * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
+        shifted = [0] + coeffs
+        coeffs = [s - f * c for s, c in zip(shifted, coeffs + [0])]
     return tuple(coeffs)
 
 
@@ -69,24 +70,32 @@ def supernatural_table(roots, multiplicity=1, window=None):
     f = roots.roots
     if window is None:
         window = (f[-1] - 1, f[0] + 1)
-    lo, hi = window
+    _check_window(f, *window)
+    return _scaled(roots.n, f, m / factorial(roots.n), window)
+
+
+def _check_window(f, lo, hi):
+    """Raise WindowTooSmall unless [lo, hi] holds every staircase corner of
+    the roots f."""
     if lo > f[-1] - 1 or hi < f[0] + 1:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{f[-1] - 1}, {f[0] + 1}]")
-    unit = m / factorial(roots.n)
-    return CohomologyTable(roots.n, window, _cells(f, unit, lo, hi),
-                           chi_from_roots(f, unit))
 
 
-def _cells(f, unit, lo, hi):
-    # unit * |prod_k (j - f_k)| on [lo, hi], in the row counting roots above j.
-    entries = {}
-    for j in range(lo, hi + 1):
-        product = prod(j - fk for fk in f)
-        if product:
-            row = sum(1 for fk in f if fk > j)
-            entries[(row, j)] = unit * abs(product)
-    return entries
+def _scaled(n, f, unit, window):
+    # unit times the integer supernatural table of f, on the window.
+    entries = {key: unit * x for key, x in _cells(f, *window)}
+    return CohomologyTable(n, window, entries, chi_from_roots(f, unit))
+
+
+def _cells(f, lo, hi):
+    # ((row, j), |prod_k (j - f_k)|) for every twist of [lo, hi] off the
+    # roots, in sorted order; row i holds the twists between f_{i+1} and f_i.
+    n = len(f)
+    for row in range(n + 1):
+        top = hi if row == 0 else min(hi, f[row - 1] - 1)
+        for j in range(lo if row == n else max(lo, f[row] + 1), top + 1):
+            yield (row, j), abs(prod(j - fk for fk in f))
 
 
 def line_bundle_table(n, a, window):
@@ -97,8 +106,7 @@ def line_bundle_table(n, a, window):
     on the window's twists only, so the window need not hold the staircase.
     """
     f = RootSequence(n, tuple(-a - k for k in range(1, n + 1))).roots
-    unit = Fraction(1, factorial(n))
-    return CohomologyTable(n, window, _cells(f, unit, *window), chi_from_roots(f, unit))
+    return _scaled(n, f, Fraction(1, factorial(n)), window)
 
 
 def corner_roots(g):
@@ -110,6 +118,7 @@ def corner_roots(g):
     forced consecutive: f_i = f_{i-1} - 1).  When row 0 or n is empty on the
     window, raises NotStaircase if chi vanishes, and WindowTooSmall if not:
     the row then continues past the window edge, and so does its corner.
+    g may be a ``CohomologyTable`` or its ``Numerators`` working form.
     """
     minima = first_twists(g)
     for row in (0, g.n):

@@ -5,16 +5,21 @@ positive denominator); nothing in this package touches floating point.
 Zero entries are never stored, so every emptiness test is a map lookup.
 Instances are treated as immutable after construction.
 
-All arithmetic is one primitive, ``combine`` (a + coeff * b over
+Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
-per twist where the windows differ, never the (n + 1) x window grid.  The
-two greedy decompositions share their steps for either table kind:
+per twist where the windows differ, never the (n + 1) x window grid.
 ``first_twists`` reads the smallest stored twist (degree) of every row
 (column), and ``peel_largest`` subtracts the largest multiple of a unit
-table, reporting the cell that binds it.
+table, reporting the cell that binds it.  The greedies take that step in
+place on a working remainder instead of building a table per step.
+
+``validate`` and the cohomology greedy run on ``Numerators``, a mutable
+working form holding int numerators over one common denominator, so that
+they build no ``Fraction`` per cell; values leave it as ``Fraction``.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NegativeEntry
 
@@ -208,6 +213,10 @@ def peel_largest(g, unit):
     """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
     unit's cells, ties going to the smallest cell; the caller refuses q <= 0,
     so a zero ratio returns g itself.
+
+    This is the greedy step on immutable tables of either kind.  The two
+    greedies take the same step in place on their working remainders, and
+    the reference greedies of the tests are built on this one.
     """
     q, binding = min((g.value(i, j) / s, (i, j)) for (i, j), s in unit.entries.items())
     return q, binding, combine(g, unit, -q) if q else g
@@ -253,10 +262,11 @@ def validate(t):
     violations = []
     n = t.n
     lo, hi = t.window
+    w = Numerators(t)
     alt = {}
-    for (i, j), v in sorted(t.entries.items()):
+    for (i, j), v in sorted(w.entries.items()):
         if v <= 0:
-            violations.append(f"entry ({i}, {j}) = {v} is not positive")
+            violations.append(f"entry ({i}, {j}) = {w.fraction(v)} is not positive")
         if not 0 <= i <= n:
             violations.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
             continue
@@ -265,40 +275,110 @@ def validate(t):
             continue
         if 1 <= i <= n - 1 and (j == lo or j == hi):
             violations.append(f"interior row {i} touches the window edge at j = {j}")
-        alt[j] = alt.get(j, ZERO) + (v if i % 2 == 0 else -v)
+        alt[j] = alt.get(j, 0) + (v if i % 2 == 0 else -v)
     # A zero chi can only mismatch where the alternating sum is supported,
     # and its tails vanish.
-    has_chi = any(t.chi)
-    for j in range(lo, hi + 1) if has_chi else sorted(alt):
-        total, chi = alt.get(j, ZERO), t.chi_at(j)
+    for j in range(lo, hi + 1) if any(w.chi) else sorted(alt):
+        total, chi = alt.get(j, 0), w.chi_at(j)
         if total != chi:
-            violations.append(f"Euler mismatch at j = {j}: "
-                              f"alternating sum {total} != chi {chi}")
-    return violations + tail_violations(t)
+            violations.append(f"Euler mismatch at j = {j}: alternating sum "
+                              f"{w.fraction(total)} != chi {w.fraction(chi)}")
+    return violations + w.tail_violations()
 
 
-def tail_violations(t):
-    """Sign checks on a cohomology table's implicit tails (n + 1 twists past
-    each window edge) and on chi's leading coefficient, in ``validate``'s order.
+class Numerators:
+    """Working form of a cohomology table, not exported: int numerators over
+    one positive common denominator ``den``, for the stored entries and for
+    chi.
 
-    These are the only invariants a supernatural peel can break (see
-    ``peel_supernatural``), so its remainder is checked with this alone.
+    Values leave it as ``Fraction`` through ``fraction`` and ``table``.
+    Unlike ``CohomologyTable`` it is mutable: ``subtract`` updates it in
+    place.  ``n``, ``entries`` (whose keys are the stored cells) and ``chi``
+    (zero exactly when the table's chi is) are all that ``first_twists`` and
+    ``corner_roots`` read, so they take either form.
     """
-    if not any(t.chi):
-        return []
-    n = t.n
-    lo, hi = t.window
-    violations = []
-    for k in range(1, n + 2):
-        right = t.chi_at(hi + k)
-        if right < 0:
-            violations.append(f"right tail negative: chi({hi + k}) = {right}")
-        left = t.chi_at(lo - k)
-        if n % 2 == 1:
-            left = -left
-        if left < 0:
-            violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = {left}")
-    lead = next(c for c in reversed(t.chi) if c)
-    if lead < 0:
-        violations.append(f"leading chi coefficient {lead} is negative")
-    return violations
+
+    __slots__ = ("n", "window", "den", "entries", "chi")
+
+    def __init__(self, t):
+        self.n = t.n
+        self.window = t.window
+        self.den = den = lcm(*(v.denominator for v in t.entries.values()),
+                             *(c.denominator for c in t.chi))
+        self.entries = {key: v.numerator * (den // v.denominator)
+                        for key, v in t.entries.items()}
+        self.chi = [c.numerator * (den // c.denominator) for c in t.chi]
+
+    def fraction(self, v):
+        """The value whose numerator over ``den`` is v."""
+        return Fraction(v, self.den)
+
+    def chi_at(self, j):
+        """Numerator of chi(j), by Horner's rule."""
+        total = 0
+        for c in reversed(self.chi):
+            total = total * j + c
+        return total
+
+    def is_zero(self):
+        return not self.entries and not any(self.chi)
+
+    def table(self):
+        """The ``CohomologyTable`` this form stands for."""
+        return _trusted(CohomologyTable,
+                        {key: Fraction(v, self.den) for key, v in self.entries.items()},
+                        n=self.n, window=self.window,
+                        chi=tuple(Fraction(c, self.den) for c in self.chi))
+
+    def subtract(self, c, p, cells, chi):
+        """Subtract c / (p * den) times the integer table with the given
+        cells ((i, j), x) and chi coefficients.
+
+        Every numerator becomes p * v - c * x over the denominator p * den,
+        and one gcd reduction keeps them small.  The caller keeps the result
+        nonnegative; a cell that reaches zero is dropped.
+        """
+        old = self.entries
+        new = {}
+        for key, x in cells:
+            v = old.pop(key, 0) * p - c * x
+            if v:
+                new[key] = v
+        for key, v in old.items():
+            new[key] = v * p
+        self.chi = [a * p - c * b for a, b in zip(self.chi, chi)]
+        self.den *= p
+        k = gcd(self.den, *new.values(), *self.chi)
+        if k > 1:
+            self.den //= k
+            new = {key: v // k for key, v in new.items()}
+            self.chi = [a // k for a in self.chi]
+        self.entries = new
+
+    def tail_violations(self):
+        """Sign checks on the implicit tails (n + 1 twists past each window
+        edge) and on chi's leading coefficient, in ``validate``'s order.
+
+        These are the only invariants a supernatural peel can break, so its
+        remainder is checked with this alone.
+        """
+        if not any(self.chi):
+            return []
+        n = self.n
+        lo, hi = self.window
+        violations = []
+        for k in range(1, n + 2):
+            right = self.chi_at(hi + k)
+            if right < 0:
+                violations.append(f"right tail negative: chi({hi + k}) = "
+                                  f"{self.fraction(right)}")
+            left = self.chi_at(lo - k)
+            if n % 2 == 1:
+                left = -left
+            if left < 0:
+                violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = "
+                                  f"{self.fraction(left)}")
+        lead = next(c for c in reversed(self.chi) if c)
+        if lead < 0:
+            violations.append(f"leading chi coefficient {self.fraction(lead)} is negative")
+        return violations

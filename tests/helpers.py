@@ -5,12 +5,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from betticone import (BettiTable, CohomologyTable, DegreeSequence,
-                       InvalidTable, NegativeEntry, NotInCone, RootSequence,
-                       add_tables, normalized_diagram, scale,
-                       smallest_integral, supernatural_table, validate)
+from betticone import (BettiDecomposition, BettiTable, CohomologyTable,
+                       DegreeSequence, InvalidTable, NegativeEntry, NotInCone,
+                       RootSequence, StrandNotIncreasing, TailGuardFailure,
+                       add_tables, corner_roots, is_chain, normalized_diagram,
+                       scale, smallest_integral, supernatural_table, validate)
+from betticone.diagrams import integral_scale
 from betticone.extension import _in_hull
 from betticone.supernatural import CohDecomposition, chi_from_roots
+from betticone.tables import first_twists, peel_largest
 
 
 def hk_solve(seq):
@@ -342,3 +345,99 @@ def random_point_set(rng, dim, max_points=10):
                       for k, b in enumerate(base))
         points[point] = None
     return list(points)
+
+
+# The greedies as they were on Fraction tables: every cohomology peel builds
+# the whole-window unit table and a new remainder through ``combine``, and
+# every Betti step rescans the support for the column minima and copies the
+# table.  The library now works on a mutable remainder (int numerators over
+# one denominator on the cohomology side); the suites compare outcomes.
+
+def reference_tail_violations(t):
+    """Tail and leading-coefficient signs, evaluated on ``Fraction`` chi."""
+    if not any(t.chi):
+        return []
+    n = t.n
+    lo, hi = t.window
+    violations = []
+    for k in range(1, n + 2):
+        right = t.chi_at(hi + k)
+        if right < 0:
+            violations.append(f"right tail negative: chi({hi + k}) = {right}")
+        left = t.chi_at(lo - k)
+        if n % 2 == 1:
+            left = -left
+        if left < 0:
+            violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = {left}")
+    lead = next(c for c in reversed(t.chi) if c)
+    if lead < 0:
+        violations.append(f"leading chi coefficient {lead} is negative")
+    return violations
+
+
+def reference_peel_supernatural(g, roots):
+    q, binding, remainder = peel_largest(g, supernatural_table(roots, 1, g.window))
+    if q == 0:
+        raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
+    problems = reference_tail_violations(remainder)
+    if problems:
+        raise TailGuardFailure("; ".join(problems))
+    return q, remainder
+
+
+def reference_decompose_cohomology(g):
+    """``decompose_cohomology`` on ``Fraction`` tables, validated densely."""
+    problems = dense_validate(g)
+    if problems:
+        raise InvalidTable(problems)
+    terms = []
+    work = g
+    while not work.is_zero():
+        roots = corner_roots(work)
+        q, work = reference_peel_supernatural(work, roots)
+        terms.append((q, roots))
+    for step, ((_, f), (_, h)) in enumerate(zip(terms, terms[1:]), start=1):
+        if any(a > b for a, b in zip(f.roots, h.roots)):
+            raise NotInCone(step, f"roots {f} and {h} are not termwise nondecreasing")
+    return CohDecomposition(tuple(terms))
+
+
+def reference_decompose(b, normalized=False):
+    """``decompose`` with a ``first_twists`` rescan and a ``peel_largest``
+    copy of the table at every step."""
+    terms = []
+    seqs = []
+    truncations = []
+    work = b
+    while not work.is_zero():
+        minima = first_twists(work)
+        a = min(minima)
+        degrees = [minima[a]]
+        truncated_at = None
+        i = a + 1
+        while len(degrees) < b.vars + 1 and i in minima:
+            if minima[i] <= degrees[-1]:
+                truncated_at = i
+                break
+            degrees.append(minima[i])
+            i += 1
+        seq = DegreeSequence(a, tuple(degrees), b.vars)
+        pi = normalized_diagram(seq)
+        q, binding, work = peel_largest(work, pi.table())
+        if q < 0:
+            raise ValueError(f"scale factor must be nonnegative, got {q}")
+        if q == 0:
+            raise ValueError(f"strand position {binding} absent from table")
+        if normalized:
+            terms.append((q, pi))
+        else:
+            terms.append((q / integral_scale(pi.values), smallest_integral(pi)))
+        seqs.append(seq)
+        truncations.append(truncated_at)
+    for step, (d, e) in enumerate(zip(seqs, seqs[1:]), start=1):
+        if not is_chain([d, e]):
+            detail = f"strands {d} and {e} are not comparable"
+            if truncations[step - 1] is not None:
+                raise StrandNotIncreasing(step, truncations[step - 1], detail)
+            raise NotInCone(step, detail)
+    return BettiDecomposition(tuple(terms))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import (BettiTable, DegreeSequence, StrandNotIncreasing,
+import betticone.betti_decomposition as betti_decomposition
+import betticone.tables as tables
+from betticone import (BettiTable, DegreeSequence, NotInCone, StrandNotIncreasing,
                        decompose, is_chain, is_member, min_strand,
                        normalized_diagram, peel, recompose,
                        smallest_integral)
-from helpers import chain_combination, random_chain
+from helpers import chain_combination, random_chain, reference_decompose
 
 F = Fraction
 
@@ -223,3 +225,75 @@ def test_every_successful_peel_drops_a_cell_and_adds_none(seed):
             break
         assert set(rest.entries) < set(work.entries)
         work = rest
+
+
+def random_betti_input(rng):
+    """A chain combination (shifted windows included), then up to three
+    moves: a stray positive cell, a negative cell, a dropped cell or a
+    rescaled one, so that every outcome of the greedy turns up."""
+    _, table = chain_combination(rng, random_chain(rng, vars_count=rng.randint(1, 5)))
+    entries = dict(table.entries)
+    for _ in range(rng.randint(0, 3)):
+        move = rng.randrange(4)
+        if move == 0:
+            entries[(rng.randint(-1, 5), rng.randint(-12, 12))] = F(rng.randint(1, 9),
+                                                                    rng.randint(1, 3))
+        elif move == 1:
+            entries[(rng.randint(0, 5), rng.randint(-12, 12))] = F(-rng.randint(1, 3))
+        elif entries:
+            key = rng.choice(sorted(entries))
+            if move == 2:
+                del entries[key]
+            else:
+                entries[key] *= F(rng.randint(1, 5), rng.randint(1, 5))
+    return BettiTable(table.vars, entries)
+
+
+def betti_outcome(t, decomposer, normalized):
+    try:
+        return [(c, d.sequence, d.values) for c, d in decomposer(t, normalized)]
+    except (NotInCone, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48), st.booleans())
+def test_in_place_greedy_matches_the_copying_greedy(seed, normalized):
+    t = random_betti_input(random.Random(seed))
+    assert betti_outcome(t, decompose, normalized) == \
+        betti_outcome(t, reference_decompose, normalized)
+
+
+def long_chain(rng, vars_count, length):
+    """Degree sequences on one window, each raising one degree by 1."""
+    degrees = list(range(vars_count + 1))
+    seqs = [DegreeSequence(0, tuple(degrees), vars_count)]
+    while len(seqs) < length:
+        k = rng.randrange(vars_count + 1)
+        if k == vars_count or degrees[k] + 1 < degrees[k + 1]:
+            degrees[k] += 1
+            seqs.append(DegreeSequence(0, tuple(degrees), vars_count))
+    return seqs
+
+
+def test_decompose_copies_no_table_and_reads_minima_from_heaps(monkeypatch):
+    rng = random.Random(600)
+    seqs = long_chain(rng, 12, 600)
+    entries = {}
+    coeffs = []
+    for seq in seqs:
+        c = F(rng.randint(1, 9), rng.randint(1, 4))
+        coeffs.append(c)
+        for key, v in smallest_integral(normalized_diagram(seq)).table().entries.items():
+            entries[key] = entries.get(key, 0) + c * v
+    table = BettiTable(12, entries)
+    calls = {"combine": 0, "first_twists": 0}
+    for module in (tables, betti_decomposition):
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(tables, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    result = decompose(table)
+    assert [(c, d.sequence) for c, d in result] == list(zip(coeffs, seqs))
+    assert calls["combine"] == 0 and calls["first_twists"] <= 1

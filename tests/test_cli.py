@@ -2,10 +2,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import betticone.cli as cli
 import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
-from betticone import CohomologyTable, line_bundle_table, serialize_table
+from betticone import CohomologyTable, line_bundle_table, serialize_table, validate
 from betticone.cli import main
 from betticone.errors import NotInCone
 from betticone.supernatural import CohDecomposition
@@ -329,3 +331,18 @@ def test_check_oracle_flags_an_oracle_yes_against_a_greedy_no(monkeypatch, capsy
     monkeypatch.undo()
     assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == run_cli(
         capsys, "coh-decompose", path)
+
+
+@pytest.mark.parametrize("name", ["p1_split.ct", "p1_tail_guard.ct"])
+def test_check_oracle_validates_once(monkeypatch, capsys, name):
+    path = str(FIXTURES / name)
+    expected = run_cli(capsys, "coh-decompose", path, "--check-oracle")
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return validate(table)
+    for module in (cli, coh_decomposition):
+        monkeypatch.setattr(module, "validate", counted)
+    assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == expected
+    assert len(calls) == 1

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone.coh_decomposition as coh_decomposition
-from betticone import (CohomologyTable, InvalidTable, NotInCone, RootSequence,
-                       TailGuardFailure, WindowTooSmall, add_tables,
+import betticone.supernatural as supernatural
+import betticone.tables as tables
+from betticone import (CohomologyTable, InvalidTable, NotInCone, NotStaircase,
+                       RootSequence, TailGuardFailure, WindowTooSmall, add_tables,
                        corner_roots, decompose_cohomology, is_member,
                        line_bundle_table, p1_oracle, parse_table,
                        peel_supernatural, scale, supernatural_table, validate)
 from betticone.tables import combine
-from helpers import random_root_chain, reference_p1_oracle, root_chain_combination
+from helpers import (random_root_chain, reference_decompose_cohomology,
+                     reference_p1_oracle, reference_peel_supernatural,
+                     root_chain_combination)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -314,3 +318,143 @@ def test_every_successful_peel_drops_a_cell_and_adds_none(seed, dents):
             break
         assert set(rest.entries) < set(work.entries)
         work = rest
+
+
+def shifted_tail_guard_table(rng):
+    """The tail-guard fixture scaled by a random rational and moved by a
+    random twist: the greedy stops there for the same reason."""
+    t = tail_guard_table()
+    s, m = rng.randint(-6, 6), F(rng.randint(1, 7), rng.randint(1, 3))
+    c0, c1 = t.chi
+    return CohomologyTable(1, (t.window[0] + s, t.window[1] + s),
+                           {(i, j + s): m * v for (i, j), v in t.entries.items()},
+                           [m * (c0 - c1 * s), m * c1])
+
+
+def random_greedy_input(rng):
+    """A P^1-P^3 chain combination, or the tail-guard fixture moved about,
+    followed by up to two moves: a chi-neutral dent or bump, a narrower
+    window, a stray cell, or a sigma on the same window added with a small
+    coefficient of either sign.  Every outcome of the greedy turns up."""
+    if rng.random() < 0.2:
+        t = shifted_tail_guard_table(rng)
+    else:
+        _, t = root_chain_combination(
+            rng, random_root_chain(rng, rng.randint(1, 3), max_terms=5))
+    n = t.n
+    for _ in range(rng.randint(0, 2)):
+        move = rng.randrange(5)
+        lo, hi = t.window
+        if move == 0:
+            t = chi_neutral_dent(rng, t)
+        elif move == 1:
+            i = rng.randint(0, n - 1)
+            bump = {}
+            for j in rng.sample(range(lo + 1, hi), max(0, min(hi - lo - 1, rng.randint(1, 4)))):
+                bump[(i, j)] = bump[(i + 1, j)] = F(rng.randint(1, 6), rng.randint(1, 3))
+            t = combine(t, CohomologyTable(n, t.window, bump))
+        elif move == 2:
+            lo, hi = lo + rng.randint(0, 4), hi - rng.randint(0, 4)
+            if lo <= hi:
+                t = CohomologyTable(n, (lo, hi), {(i, j): v for (i, j), v in t.entries.items()
+                                                  if lo <= j <= hi}, t.chi)
+        elif move == 3:
+            stray = {(rng.randint(0, n), rng.randint(lo, hi)): F(rng.randint(1, 5),
+                                                                rng.randint(1, 3))}
+            t = combine(t, CohomologyTable(n, t.window, stray))
+        else:
+            inner = range(lo + 1, hi)
+            if len(inner) >= n and rng.random() < 0.5:
+                roots = RootSequence(n, sorted(rng.sample(inner, n), reverse=True))
+                sigma = supernatural_table(roots, 1, t.window)
+            else:
+                sigma = line_bundle_table(n, rng.randint(-hi - n - 2, -lo + 2), t.window)
+            room = min((t.value(i, j) / v for (i, j), v in sigma.entries.items()),
+                       default=0)
+            c = F(rng.randint(1, 8), rng.randint(1, 3))
+            if room > 0 and rng.random() < 0.7:
+                c = -room * F(rng.randint(1, 10), 10)
+            t = combine(t, sigma, c)
+    return t
+
+
+def greedy_outcome(decomposer, t):
+    try:
+        return [(c, r.roots) for c, r in decomposer(t)]
+    except (InvalidTable, NotInCone, WindowTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_integer_greedy_matches_the_fraction_greedy(seed):
+    t = random_greedy_input(random.Random(seed))
+    assert greedy_outcome(decompose_cohomology, t) == \
+        greedy_outcome(reference_decompose_cohomology, t)
+
+
+def test_the_differential_inputs_reach_every_outcome():
+    seen = set()
+    for seed in range(400):
+        result = greedy_outcome(decompose_cohomology, random_greedy_input(random.Random(seed)))
+        seen.add(result[0] if isinstance(result, tuple) else "terms")
+    assert seen == {"terms", InvalidTable, NotInCone, NotStaircase, TailGuardFailure,
+                    WindowTooSmall}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_peel_supernatural_matches_the_fraction_peel(seed):
+    t = random_greedy_input(random.Random(seed))
+    if validate(t) or t.is_zero():
+        return
+    roots = corner_roots_or_none(t)
+    if roots is None:
+        return
+
+    def peel(peeler):
+        try:
+            q, rest = peeler(t, roots)
+            return q, rest.window, rest.entries, rest.chi
+        except (NotInCone, WindowTooSmall) as exc:
+            return type(exc), str(exc)
+    assert peel(peel_supernatural) == peel(reference_peel_supernatural)
+
+
+def corner_roots_or_none(t):
+    try:
+        return corner_roots(t)
+    except (NotInCone, WindowTooSmall):
+        return None
+
+
+def every_second_twist_table(width):
+    """The P^1 sum of sigma_f over every odd f in [1, width - 2], one unit
+    each, on the window [0, width - 1]: row 0 at j is sum_{f < j} (j - f),
+    row 1 is sum_{f > j} (f - j)."""
+    roots = range(1, width - 1, 2)
+    entries = {}
+    for j in range(width):
+        below = sum(j - f for f in roots if f < j)
+        above = sum(f - j for f in roots if f > j)
+        entries.update({key: v for key, v in (((0, j), below), ((1, j), above)) if v})
+    return CohomologyTable(1, (0, width - 1), entries, [-sum(roots), len(roots)])
+
+
+def test_wide_p1_greedy_builds_no_fraction_table(monkeypatch):
+    t = every_second_twist_table(801)
+    calls = {"peel": 0, "supernatural_table": 0, "combine": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(coh_decomposition, "_peel", counting("peel", coh_decomposition._peel))
+    for module in (coh_decomposition, supernatural):
+        monkeypatch.setattr(module, "supernatural_table",
+                            counting("supernatural_table", supernatural_table))
+    monkeypatch.setattr(tables, "combine", counting("combine", tables.combine))
+    dec = decompose_cohomology(t)
+    assert [(c, r.roots) for c, r in dec] == [(1, (f,)) for f in range(1, 800, 2)]
+    assert calls == {"peel": 400, "supernatural_table": 0, "combine": 0}
