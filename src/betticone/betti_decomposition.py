@@ -6,21 +6,19 @@ that keeps the table nonnegative, and repeats.  A table lies in the cone
 exactly when this empties the table along a chain of degree sequences.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop
 
 from .coh_decomposition import decompose_cohomology
-from .diagrams import (DegreeSequence, integral_scale, is_chain,
-                       normalized_diagram, smallest_integral)
+from .diagrams import (DegreeSequence, PureDiagram, integral_diagram, is_chain,
+                       normalized_diagram)
 from .errors import NotInCone, StrandNotIncreasing
-from .tables import BettiTable, combine, first_twists
+from .tables import BettiTable, Record, combine, first_twists
 
 
-@dataclass(frozen=True)
-class BettiDecomposition:
+class BettiDecomposition(Record):
     """Ordered (coefficient, pure diagram) terms; sequences form a chain."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     def sequences(self):
         return [diagram.sequence for _, diagram in self.terms]
@@ -82,7 +80,8 @@ def _peel(work, pi):
               for k, (d, v) in enumerate(zip(seq.degrees, pi.values))]
     q, binding = min((work.get(key, 0) / v, key) for key, v in strand)
     if q < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {q}")
+        # reported against the first-entry-1 diagram, whichever pi peels
+        raise ValueError(f"scale factor must be nonnegative, got {q * pi.values[0]}")
     if q == 0:
         raise ValueError(f"strand position {binding} absent from table")
     for key, v in strand:
@@ -116,7 +115,9 @@ def decompose(b, normalized=False):
     ``normalized`` asks for first-entry-1 diagrams.  Raises NotInCone (or its
     StrandNotIncreasing refinement) when the strands fail to form a chain.
     Each peel (q > 0) zeroes its binding cell and adds none, so the loop
-    ends, and the column heaps never need a degree added.
+    ends, and the column heaps never need a degree added.  The greedy peels
+    the integral diagram w; the normalized one is w / w_0, with coefficient
+    q w_0.
     """
     terms = []
     seqs = []
@@ -129,13 +130,13 @@ def decompose(b, normalized=False):
         heapify(heap)
     while work:
         seq, truncated_at = _strand_info(_minima(work, columns), b.vars)
-        pi = normalized_diagram(seq)
-        q = _peel(work, pi)
+        w = integral_diagram(seq)
+        q = _peel(work, w)
         if normalized:
-            terms.append((q, pi))
+            w0 = w.values[0]
+            terms.append((q * w0, PureDiagram(seq, tuple(v / w0 for v in w.values))))
         else:
-            s = integral_scale(pi.values)
-            terms.append((q / s, smallest_integral(pi)))
+            terms.append((q, w))
         seqs.append(seq)
         truncations.append(truncated_at)
     for step, (d, e) in enumerate(zip(seqs, seqs[1:]), start=1):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
-from .diagrams import DegreeSequence, integral_scale, normalized_diagram, smallest_integral
+from .diagrams import DegreeSequence, integral_diagram, integral_scale, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
@@ -88,9 +88,7 @@ def _term_line(coeff, diagram):
 
 def _cmd_pure(args):
     seq = _parse_degrees_arg(args.degrees, args.vars)
-    diagram = normalized_diagram(seq)
-    if args.integral:
-        diagram = smallest_integral(diagram)
+    diagram = integral_diagram(seq) if args.integral else normalized_diagram(seq)
     print(f"diagram window={seq.start} degrees={_fmt_seq(seq.degrees)} "
           f"values={_fmt_seq(diagram.values)}")
     return 0

@@ -7,20 +7,16 @@ and the run can never exceed vars + 1 terms.  Each sequence determines, up
 to scale, one pure diagram: the extremal rays of the cone of Betti tables.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch
-from .tables import BettiTable
+from .tables import BettiTable, Record
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    start: int
-    degrees: tuple
-    vars: int
+class DegreeSequence(Record):
+    __slots__ = ("start", "degrees", "vars")
 
     def __post_init__(self):
         object.__setattr__(self, "start", int(self.start))
@@ -47,10 +43,8 @@ class DegreeSequence:
         return f"{self.start}:[{body}]" if self.start else body
 
 
-@dataclass(frozen=True)
-class PureDiagram:
-    sequence: DegreeSequence
-    values: tuple
+class PureDiagram(Record):
+    __slots__ = ("sequence", "values")
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
@@ -74,20 +68,32 @@ class Ordering(Enum):
     INCOMPARABLE = "<>"
 
 
+def _gap_products(d):
+    # D_k = prod_{j != k} |d_j - d_k| for strictly increasing degrees d; the
+    # pure diagram of d is proportional to 1 / D_k.
+    return [prod(abs(dj - dk) for dj in d if dj != dk) for dk in d]
+
+
 def normalized_diagram(seq):
     """The pure diagram of ``seq`` normalized so its first entry is 1.
 
-    Entry k is prod_{j != 0} |d_j - d_0| / prod_{j != k} |d_j - d_k|, the
-    unique positive solution of the moment equations
+    Entry k is D_0 / D_k for D_k = prod_{j != k} |d_j - d_k|, the unique
+    positive solution of the moment equations
     sum_k (-1)^k beta_k d_k^m = 0 for m = 0..l-1 with beta_0 = 1.
     """
-    d = seq.degrees
-    numerator = prod(abs(dj - d[0]) for dj in d[1:])
-    values = []
-    for k in range(len(d)):
-        denom = prod(abs(dj - d[k]) for m, dj in enumerate(d) if m != k)
-        values.append(Fraction(numerator, denom))
-    return PureDiagram(seq, tuple(values))
+    D = _gap_products(seq.degrees)
+    return PureDiagram(seq, tuple(Fraction(D[0], Dk) for Dk in D))
+
+
+def integral_diagram(seq):
+    """The smallest pure diagram of ``seq`` with all-integer entries.
+
+    Entry k is L / D_k for L = lcm(D); these entries already have gcd 1,
+    since gcd_k(L / D_k) = L / lcm(D).
+    """
+    D = _gap_products(seq.degrees)
+    L = lcm(*D)
+    return PureDiagram(seq, tuple(L // Dk for Dk in D))
 
 
 def moment_sums(diagram):

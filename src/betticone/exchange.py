@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .tables import BettiTable, CohomologyTable
+from .tables import BettiTable, CohomologyTable, _trusted
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
@@ -67,6 +67,9 @@ def parse_table(text):
 
 
 def _parse_entry(parts, line_no, entries):
+    # Stores int keys and Fraction values, the tables' own form: the parsers
+    # pass the entries on as they are and build an empty table only to
+    # check the other fields.
     if len(parts) != 4:
         raise ParseError(line_no, "entry lines read: entry <i> <j> <value>")
     i = _int(parts[1], line_no)
@@ -93,9 +96,10 @@ def _parse_betti(lines):
     if vars_count is None:
         raise ParseError(0, "missing vars line")
     try:
-        return BettiTable(vars_count, entries)
+        empty = BettiTable(vars_count)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
+    return _trusted(BettiTable, entries, vars=empty.vars)
 
 
 def _parse_coh(lines):
@@ -132,9 +136,10 @@ def _parse_coh(lines):
     if len(chi) != n + 1:
         raise ParseError(chi_line, f"chi needs {n + 1} coefficients, got {len(chi)}")
     try:
-        return CohomologyTable(n, window, entries, chi)
+        empty = CohomologyTable(n, window, (), chi)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
+    return _trusted(CohomologyTable, entries, n=empty.n, window=empty.window, chi=empty.chi)
 
 
 def serialize_table(t):

@@ -15,7 +15,7 @@ from operator import mul
 from .coh_decomposition import decompose_valid
 from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
                      InvalidTable, NotInCone)
-from .tables import CohomologyTable, add_tables, validate
+from .tables import ZERO, CohomologyTable, _trusted, add_tables, validate
 
 
 def cancellation_bounds(A, B):
@@ -43,17 +43,19 @@ def apply_cancellation(A, B, pattern):
     for (i, j), v in sorted(pattern.items()):
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    return _cancel(add_tables(A, B), pattern)
+    return _cancel(add_tables(A, B),
+                   {key: Fraction(v) for key, v in pattern.items()})
 
 
 def _cancel(split, pattern):
+    # Row i at twist j and row i + 1 at twist j each lose the rank c_{i,j}.
+    # The caller's ranks are ints or Fractions, so every entry stays one.
     entries = dict(split.entries)
     for (i, j), c in pattern.items():
         for key in ((i, j), (i + 1, j)):
-            entries[key] = entries.get(key, 0) - c
-            assert entries[key] >= 0  # guaranteed by the rank bounds
-    return CohomologyTable(split.n, split.window,
-                           {key: v for key, v in entries.items() if v}, split.chi)
+            entries[key] = entries.get(key, ZERO) - c
+    return _trusted(CohomologyTable, {key: v for key, v in entries.items() if v},
+                    n=split.n, window=split.window, chi=split.chi)
 
 
 def _serre_orbits(support, n, shift):

@@ -7,17 +7,13 @@ look like Betti tables of cyclic algebras but, for p > 0, sit in codimension
 n > r and therefore cannot come from one.
 """
 
-from dataclasses import dataclass
-
 from .diagrams import DegreeSequence, normalized_diagram
 from .errors import IntegralityViolation
+from .tables import Record
 
 
-@dataclass(frozen=True)
-class StillmanParams:
-    e: int
-    r: int
-    p: int
+class StillmanParams(Record):
+    __slots__ = ("e", "r", "p")
 
     def __post_init__(self):
         if self.e < 1:
@@ -32,11 +28,9 @@ class StillmanParams:
         return self.r + self.p * (self.r - 1)
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    verdict: str  # "not-realizable-as-cyclic" or "inconclusive"
-    codim: int
-    generators: int
+class Obstruction(Record):
+    # verdict is "not-realizable-as-cyclic" or "inconclusive"
+    __slots__ = ("verdict", "codim", "generators")
 
 
 def stillman_sequence(params):
@@ -67,13 +61,8 @@ def realizability_obstruction(diagram, r):
     return Obstruction(verdict, codim, r)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    p: int
-    sequence: DegreeSequence
-    diagram: object
-    integral: bool
-    obstruction: Obstruction
+class ScanRow(Record):
+    __slots__ = ("p", "sequence", "diagram", "integral", "obstruction")
 
 
 def scan(e, r, p_max):

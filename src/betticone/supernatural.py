@@ -7,18 +7,15 @@ sequence f_1 > ... > f_n (with f_0 = +inf, f_{n+1} = -inf), and the entry is
 of the cone of vector-bundle cohomology tables.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
 from .errors import NotStaircase, WindowTooSmall
-from .tables import CohomologyTable, first_twists
+from .tables import CohomologyTable, Record, first_twists
 
 
-@dataclass(frozen=True)
-class RootSequence:
-    n: int
-    roots: tuple
+class RootSequence(Record):
+    __slots__ = ("n", "roots")
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
@@ -35,11 +32,10 @@ class RootSequence:
         return ",".join(str(f) for f in self.roots)
 
 
-@dataclass(frozen=True)
-class CohDecomposition:
+class CohDecomposition(Record):
     """Ordered (coefficient, root sequence) terms against unit tables."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     def __iter__(self):
         return iter(self.terms)

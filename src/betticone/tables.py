@@ -16,10 +16,14 @@ place on a working remainder instead of building a table per step.
 ``validate`` and the cohomology greedy run on ``Numerators``, a mutable
 working form holding int numerators over one common denominator, so that
 they build no ``Fraction`` per cell; values leave it as ``Fraction``.
+
+``Record`` is the base of the package's small immutable value types
+(degree and root sequences, pure diagrams, decompositions).
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import DimensionMismatch, NegativeEntry
 
@@ -31,11 +35,84 @@ def _as_entries(entries):
 
 
 def _trusted(cls, entries, **fields):
-    # Skips _as_entries: combine's entries are already int-keyed Fractions.
+    # Skips _as_entries: the caller's entries are already int-keyed Fractions.
     t = object.__new__(cls)
     for name, value in dict(fields, entries=entries).items():
         object.__setattr__(t, name, value)
     return t
+
+
+class Record:
+    """Base of the package's small immutable value types.
+
+    A subclass names its fields, in order, as ``__slots__``.  They are set
+    positionally or by keyword, then ``__post_init__`` checks them and may
+    normalize them through ``object.__setattr__``.  Assignment raises
+    AttributeError; equality and hash go by exact class and field values,
+    and the repr reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # Once per class: the slots' own setters, which bypass __setattr__,
+        # and a getter of the field values (a bare value for one field).
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        # The arguments in field order, refused as a function would refuse them.
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                                f"argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for "
+                                f"argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
+        return [values[name] for name in names]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment raises.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class BettiTable:

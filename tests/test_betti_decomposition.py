@@ -264,6 +264,21 @@ def test_in_place_greedy_matches_the_copying_greedy(seed, normalized):
         betti_outcome(t, reference_decompose, normalized)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(-4, 4))
+def test_integer_diagrams_match_the_reference_on_shifted_chains(seed, shift):
+    # The greedy peels smallest-integral diagrams and derives the
+    # normalized terms from them; the reference peels first-entry-1 ones.
+    rng = random.Random(seed)
+    seqs = [DegreeSequence(s.start + shift, s.degrees, s.vars)
+            for s in random_chain(rng, vars_count=rng.randint(1, 6), max_terms=6)]
+    expected, table = chain_combination(rng, seqs)
+    for normalized in (False, True):
+        assert betti_outcome(table, decompose, normalized) == \
+            betti_outcome(table, reference_decompose, normalized)
+    assert [(c, d) for c, d in decompose(table)] == expected
+
+
 def long_chain(rng, vars_count, length):
     """Degree sequences on one window, each raising one degree by 1."""
     degrees = list(range(vars_count + 1))

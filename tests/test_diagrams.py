@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from betticone import (DegreeSequence, DimensionMismatch, Ordering, compare,
                        is_chain, moment_sums, normalized_diagram,
                        smallest_integral)
+from betticone.diagrams import integral_diagram
 from helpers import hk_solve, random_chain, random_degree_sequence
 
 F = Fraction
@@ -123,6 +124,15 @@ def test_smallest_integral_idempotent_and_coprime(seed):
     assert smallest_integral(diagram) == diagram
     assert all(v.denominator == 1 for v in diagram.values)
     assert gcd(*(v.numerator for v in diagram.values)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_integral_diagram_is_the_smallest_integral_normalized_one(seed):
+    sequence = random_degree_sequence(random.Random(seed))
+    diagram = integral_diagram(sequence)
+    assert diagram == smallest_integral(normalized_diagram(sequence))
+    assert all(type(v) is Fraction and v.denominator == 1 for v in diagram.values)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone.extension as extension
+import betticone.tables as tables
 from betticone import (BoundViolation, BudgetExceeded, RootSequence,
                        apply_cancellation, cancellation_bounds, chi_eval,
                        enumerate_patterns, feasible_set, line_bundle_table,
                        parse_table, polytope_vertices, scale,
                        supernatural_table)
-from betticone.extension import _in_hull
+from betticone.extension import _in_hull, decide_patterns
 from helpers import random_point_set, reference_polytope_vertices
 from helpers import caratheodory_inside, caratheodory_vertices
 
@@ -139,6 +140,24 @@ def test_feasible_set_builds_the_split_table_once(monkeypatch):
     feasible = feasible_set(a, b)
     assert len(feasible) == 55
     assert calls == {"add_tables": 1, "cancellation_bounds": 1}
+
+
+def test_parsing_and_cancelling_wrap_no_entries_again(monkeypatch):
+    # The parser and the cancellations hand their int-keyed Fraction
+    # entries to the tables as they are.
+    wrapped = []
+    original = tables._as_entries
+
+    def counted(entries):
+        entries = dict(entries)
+        wrapped.append(len(entries))
+        return original(entries)
+    monkeypatch.setattr(tables, "_as_entries", counted)
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    parse_table((FIXTURES / "noncm.bt").read_text())
+    assert len(decide_patterns(a, b)) == 396
+    assert sum(wrapped) == 0
 
 
 def test_budget_exceeded():

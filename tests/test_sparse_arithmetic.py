@@ -113,6 +113,17 @@ def test_cancellation_matches_dense(pair, rng):
                 dense_apply_cancellation(A, B, pattern))
 
 
+def test_cancellation_of_an_unvalidated_split_matches_dense():
+    # Found by test_cancellation_matches_dense: the split table has a
+    # negative cell, which no rank bound rules out, so cancelling just
+    # subtracts, as the dense reference does.
+    A = CohomologyTable(1, (0, 2), {(0, 2): -2, (1, 2): 1}, (0, 0))
+    B = CohomologyTable(1, (0, 1), {}, (1, 0))
+    for pattern in ({}, {(0, 2): 0}, {(0, 2): 1}):
+        assert same(apply_cancellation(A, B, pattern),
+                    dense_apply_cancellation(A, B, pattern))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(tables))
 def test_validate_matches_dense(t):
