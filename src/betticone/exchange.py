@@ -8,8 +8,10 @@ Two UTF-8 formats, dispatched on the first non-comment line:
     ...                     chi <c_0> ... <c_n>
                             entry <i> <j> <q>
 
-Rationals are written num or num/den, lines starting with '#' are comments,
-entries may appear in any order, and a repeated (i, j) is a parse error.
+Integers are ASCII ``-?[0-9]+`` and rationals ``-?[0-9]+(/[0-9]+)?``; any
+other token is a parse error.  Lines starting with '#' are comments, entries
+may appear in any order, and a repeated (i, j) is a parse error.  One loop
+reads both formats, driven by ``DIRECTIVES``.
 The pretty printers emit the human-readable grids (Betti entry (i, j) at
 column i, row j - i; cohomology entry (i, j) at display column j + i with
 row 0 at the bottom) and are not meant to be re-parsed.
@@ -19,28 +21,40 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .tables import BettiTable, CohomologyTable, _trusted
+from .tables import BettiTable, CohomologyTable
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+INTEGER = re.compile(r"-?[0-9]+")
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+# Each header's directives besides ``entry``, in the order a missing one is
+# reported: the usage of a line of integers, or None for chi's rationals.
+DIRECTIVES = {
+    BETTI_HEADER: {"vars": "<v>"},
+    COH_HEADER: {"n": "<n>", "window": "<j_lo> <j_hi>", "chi": None},
+}
 
 
 def parse_rational(token, line_no=0):
     """Parse num or num/den strictly: no decimals, exponents or underscores."""
-    if RATIONAL.fullmatch(token):
+    match = RATIONAL.fullmatch(token)
+    if match:
+        num, den = match.groups()
         try:
-            return Fraction(token)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
             pass
     raise ParseError(line_no, f"bad rational {token!r}")
 
 
 def _int(token, line_no):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"bad integer {token!r}") from None
+    if INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # digit limit
+            pass
+    raise ParseError(line_no, f"bad integer {token!r}")
 
 
 def _lines(text):
@@ -51,95 +65,66 @@ def _lines(text):
         yield line_no, line.split()
 
 
+def _checked(cls, *fields):
+    # An empty table, built only to run the constructor's checks on the fields.
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None
+
+
 def parse_table(text):
-    """Parse either exchange format, returning the table."""
+    """Parse either exchange format, returning the table.
+
+    The entries are stored as parsed, int keys and Fraction values, the
+    tables' own form, so they are handed on without another pass.
+    """
     lines = _lines(text)
     try:
         line_no, first = next(lines)
     except StopIteration:
         raise ParseError(0, "empty input") from None
     header = " ".join(first)
+    directives = DIRECTIVES.get(header)
+    if directives is None:
+        raise ParseError(line_no, f"unknown header {header!r}")
+    fields = {}
+    line_of = {}
+    entries = {}
+    for line_no, parts in lines:
+        name = parts[0]
+        if name == "entry":
+            if len(parts) != 4:
+                raise ParseError(line_no, "entry lines read: entry <i> <j> <value>")
+            key = (_int(parts[1], line_no), _int(parts[2], line_no))
+            if key in entries:
+                raise ParseError(line_no, f"duplicate entry {key}")
+            entries[key] = parse_rational(parts[3], line_no)
+        elif name not in directives:
+            raise ParseError(line_no, f"unknown directive {name!r}")
+        elif name in fields:
+            raise ParseError(line_no, f"repeated {name} line")
+        else:
+            usage = directives[name]
+            if usage is None:
+                values = [parse_rational(tok, line_no) for tok in parts[1:]]
+            elif len(parts) != len(usage.split()) + 1:
+                raise ParseError(line_no, f"{name} lines read: {name} {usage}")
+            else:
+                values = [_int(tok, line_no) for tok in parts[1:]]
+            fields[name] = values
+            line_of[name] = line_no
+    for name in directives:
+        if name not in fields:
+            raise ParseError(0, f"missing {name} line")
     if header == BETTI_HEADER:
-        return _parse_betti(lines)
-    if header == COH_HEADER:
-        return _parse_coh(lines)
-    raise ParseError(line_no, f"unknown header {header!r}")
-
-
-def _parse_entry(parts, line_no, entries):
-    # Stores int keys and Fraction values, the tables' own form: the parsers
-    # pass the entries on as they are and build an empty table only to
-    # check the other fields.
-    if len(parts) != 4:
-        raise ParseError(line_no, "entry lines read: entry <i> <j> <value>")
-    i = _int(parts[1], line_no)
-    j = _int(parts[2], line_no)
-    if (i, j) in entries:
-        raise ParseError(line_no, f"duplicate entry ({i}, {j})")
-    entries[(i, j)] = parse_rational(parts[3], line_no)
-
-
-def _parse_betti(lines):
-    vars_count = None
-    entries = {}
-    for line_no, parts in lines:
-        if parts[0] == "vars":
-            if vars_count is not None:
-                raise ParseError(line_no, "repeated vars line")
-            if len(parts) != 2:
-                raise ParseError(line_no, "vars lines read: vars <v>")
-            vars_count = _int(parts[1], line_no)
-        elif parts[0] == "entry":
-            _parse_entry(parts, line_no, entries)
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if vars_count is None:
-        raise ParseError(0, "missing vars line")
-    try:
-        empty = BettiTable(vars_count)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
-    return _trusted(BettiTable, entries, vars=empty.vars)
-
-
-def _parse_coh(lines):
-    n = window = chi = None
-    entries = {}
-    for line_no, parts in lines:
-        if parts[0] == "n":
-            if n is not None:
-                raise ParseError(line_no, "repeated n line")
-            if len(parts) != 2:
-                raise ParseError(line_no, "n lines read: n <n>")
-            n = _int(parts[1], line_no)
-        elif parts[0] == "window":
-            if window is not None:
-                raise ParseError(line_no, "repeated window line")
-            if len(parts) != 3:
-                raise ParseError(line_no, "window lines read: window <j_lo> <j_hi>")
-            window = (_int(parts[1], line_no), _int(parts[2], line_no))
-        elif parts[0] == "chi":
-            if chi is not None:
-                raise ParseError(line_no, "repeated chi line")
-            chi = [parse_rational(tok, line_no) for tok in parts[1:]]
-            chi_line = line_no
-        elif parts[0] == "entry":
-            _parse_entry(parts, line_no, entries)
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(0, "missing n line")
-    if window is None:
-        raise ParseError(0, "missing window line")
-    if chi is None:
-        raise ParseError(0, "missing chi line")
+        empty = _checked(BettiTable, *fields["vars"])
+        return BettiTable._trusted(empty.vars, entries)
+    (n,), chi = fields["n"], fields["chi"]
     if len(chi) != n + 1:
-        raise ParseError(chi_line, f"chi needs {n + 1} coefficients, got {len(chi)}")
-    try:
-        empty = CohomologyTable(n, window, (), chi)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
-    return _trusted(CohomologyTable, entries, n=empty.n, window=empty.window, chi=empty.chi)
+        raise ParseError(line_of["chi"], f"chi needs {n + 1} coefficients, got {len(chi)}")
+    empty = _checked(CohomologyTable, n, tuple(fields["window"]), (), chi)
+    return CohomologyTable._trusted(empty.n, empty.window, entries, empty.chi)
 
 
 def serialize_table(t):

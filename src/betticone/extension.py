@@ -15,7 +15,7 @@ from operator import mul
 from .coh_decomposition import decompose_valid
 from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
                      InvalidTable, NotInCone)
-from .tables import ZERO, CohomologyTable, _trusted, add_tables, validate
+from .tables import ZERO, CohomologyTable, add_tables, validate
 
 
 def cancellation_bounds(A, B):
@@ -54,8 +54,8 @@ def _cancel(split, pattern):
     for (i, j), c in pattern.items():
         for key in ((i, j), (i + 1, j)):
             entries[key] = entries.get(key, ZERO) - c
-    return _trusted(CohomologyTable, {key: v for key, v in entries.items() if v},
-                    n=split.n, window=split.window, chi=split.chi)
+    return CohomologyTable._trusted(split.n, split.window,
+                                    {key: v for key, v in entries.items() if v}, split.chi)
 
 
 def _serre_orbits(support, n, shift):
@@ -153,7 +153,7 @@ def polytope_vertices(patterns, support):
     maximizing (a.p, p, index) is added; it is the lex-largest point of the
     face maximizing a, so a vertex, and it lies outside the current hull.
     """
-    vectors = [tuple(Fraction(v) for v in _vector(p, support)) for p in patterns]
+    vectors = [_vector(p, support) for p in patterns]
 
     def top(a):
         return max(range(len(vectors)),

@@ -2,8 +2,9 @@
 
 All values are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator); nothing in this package touches floating point.
-Zero entries are never stored, so every emptiness test is a map lookup.
-Instances are treated as immutable after construction.
+Table arithmetic never stores a zero entry.  The constructors and the
+parser keep the entries they are given, zeros included, and ``validate``
+reports a stored zero as not positive.
 
 Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
@@ -18,7 +19,7 @@ working form holding int numerators over one common denominator, so that
 they build no ``Fraction`` per cell; values leave it as ``Fraction``.
 
 ``Record`` is the base of the package's small immutable value types
-(degree and root sequences, pure diagrams, decompositions).
+(both tables, degree and root sequences, pure diagrams, decompositions).
 """
 
 from fractions import Fraction
@@ -34,14 +35,6 @@ def _as_entries(entries):
     return {(int(i), int(j)): Fraction(v) for (i, j), v in dict(entries).items()}
 
 
-def _trusted(cls, entries, **fields):
-    # Skips _as_entries: the caller's entries are already int-keyed Fractions.
-    t = object.__new__(cls)
-    for name, value in dict(fields, entries=entries).items():
-        object.__setattr__(t, name, value)
-    return t
-
-
 class Record:
     """Base of the package's small immutable value types.
 
@@ -49,7 +42,10 @@ class Record:
     positionally or by keyword, then ``__post_init__`` checks them and may
     normalize them through ``object.__setattr__``.  Assignment raises
     AttributeError; equality and hash go by exact class and field values,
-    and the repr reads ``Name(field=value, ...)``.
+    and the repr reads ``Name(field=value, ...)``.  A subclass with default
+    arguments (the tables) writes its own ``__init__`` and hands the finished
+    fields to ``Record.__init__``; ``_trusted`` sets fields the caller has
+    already put in that form.
     """
 
     __slots__ = ()
@@ -89,6 +85,14 @@ class Record:
             raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
         return [values[name] for name in names]
 
+    @classmethod
+    def _trusted(cls, *fields):
+        # The fields in slot order, set as given: no checks, no normalization.
+        r = object.__new__(cls)
+        for set_field, value in zip(cls._setters, fields):
+            set_field(r, value)
+        return r
+
     def __post_init__(self):
         pass
 
@@ -115,7 +119,7 @@ class Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class BettiTable:
+class BettiTable(Record):
     """Finitely supported map (homological index, internal degree) -> rational.
 
     ``vars`` is the number of polynomial ring variables; it bounds strand
@@ -128,11 +132,7 @@ class BettiTable:
     def __init__(self, vars, entries=()):
         if vars < 1:
             raise ValueError(f"vars must be positive, got {vars}")
-        object.__setattr__(self, "vars", int(vars))
-        object.__setattr__(self, "entries", _as_entries(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiTable is immutable")
+        super().__init__(int(vars), _as_entries(entries))
 
     def value(self, i, j):
         return self.entries.get((i, j), ZERO)
@@ -143,11 +143,6 @@ class BettiTable:
     def is_zero(self):
         return not self.entries
 
-    def __eq__(self, other):
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.vars == other.vars and self.entries == other.entries
-
     __hash__ = None
 
     def __repr__(self):
@@ -155,7 +150,7 @@ class BettiTable:
         return f"BettiTable(vars={self.vars}, {{{cells}}})"
 
 
-class CohomologyTable:
+class CohomologyTable(Record):
     """Cohomology rows 0..n over a finite twist window, plus the Euler polynomial.
 
     ``chi`` holds monomial-basis coefficients c_0..c_n of chi(j) = sum c_k j^k.
@@ -177,13 +172,7 @@ class CohomologyTable:
         chi = tuple(Fraction(c) for c in chi)
         if len(chi) != n + 1:
             raise ValueError(f"chi needs {n + 1} coefficients, got {len(chi)}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "window", (int(lo), int(hi)))
-        object.__setattr__(self, "entries", _as_entries(entries))
-        object.__setattr__(self, "chi", chi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyTable is immutable")
+        super().__init__(int(n), (int(lo), int(hi)), _as_entries(entries), chi)
 
     def chi_at(self, j):
         """Evaluate chi(j) = sum c_k j^k exactly."""
@@ -281,9 +270,9 @@ def combine(a, b, coeff=1, nonneg=False):
         else:
             merged[key] = s
     if isinstance(a, BettiTable):
-        return _trusted(BettiTable, merged, vars=a.vars)
+        return BettiTable._trusted(a.vars, merged)
     chi = tuple(x + coeff * y for x, y in zip(a.chi, b.chi))
-    return _trusted(CohomologyTable, merged, n=a.n, window=(lo, hi), chi=chi)
+    return CohomologyTable._trusted(a.n, (lo, hi), merged, chi)
 
 
 def peel_largest(g, unit):
@@ -402,10 +391,10 @@ class Numerators:
 
     def table(self):
         """The ``CohomologyTable`` this form stands for."""
-        return _trusted(CohomologyTable,
-                        {key: Fraction(v, self.den) for key, v in self.entries.items()},
-                        n=self.n, window=self.window,
-                        chi=tuple(Fraction(c, self.den) for c in self.chi))
+        return CohomologyTable._trusted(
+            self.n, self.window,
+            {key: Fraction(v, self.den) for key, v in self.entries.items()},
+            tuple(Fraction(c, self.den) for c in self.chi))
 
     def subtract(self, c, p, cells, chi):
         """Subtract c / (p * den) times the integer table with the given

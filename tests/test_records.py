@@ -10,7 +10,7 @@ import pytest
 
 import betticone.stillman as stillman
 from betticone import (BettiDecomposition, BettiTable, CohDecomposition,
-                       DegreeSequence, IntegralityViolation, PureDiagram,
+                       CohomologyTable, DegreeSequence, IntegralityViolation, PureDiagram,
                        RootSequence, StillmanParams, decompose, stillman_diagram)
 
 F = Fraction
@@ -104,6 +104,17 @@ def test_post_init_refuses_bad_fields(make, message):
 
 def test_copies_and_pickles_rebuild_equal_records():
     table = BettiTable(2, {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1})
+    coh = CohomologyTable(2, (-3, 1), {(0, 0): F(1, 2), (2, -3): 3}, (1, F(3, 2), 0))
     for r in (DegreeSequence(-1, (1, 2), 3), RootSequence(2, (3, -1)),
-              StillmanParams(2, 3, 1), decompose(table)):
+              StillmanParams(2, 3, 1), decompose(table), table, coh):
         assert copy.copy(r) == r == copy.deepcopy(r) == pickle.loads(pickle.dumps(r))
+
+
+def test_tables_refuse_assignment_and_hashing():
+    for t in (BettiTable(2, {(0, 0): 1}), CohomologyTable(1, (0, 1), (), (1, 1))):
+        with pytest.raises(AttributeError):
+            t.entries = {}
+        with pytest.raises(AttributeError):
+            del t.entries
+        with pytest.raises(TypeError):
+            hash(t)
