@@ -43,6 +43,22 @@ def _commands():
     for flags in ([], ["--symmetric"]):
         commands.append(["ext-polytope", "fixtures/p1_o_minus2_x5.ct",
                          "fixtures/p1_o_plus2_x5.ct", *flags])
+    # A file of the wrong table kind is refused.
+    commands += [["decompose", "fixtures/p1_split.ct"],
+                 ["coh-decompose", "fixtures/pure_0134.bt"],
+                 ["ext-polytope", "fixtures/pure_0134.bt", "fixtures/p1_split.ct"]]
+    # Commands with inline arguments, some integers with signs or leading zeros.
+    commands += [["stillman", "-e", "2", "-r", "3", "--p-max", "2"],
+                 ["stillman", "-e", "2", "-r", "3", "--p-max", "2", "--tsv"],
+                 ["supernatural", "-n", "2", "-f", "0,-3", "--pretty"],
+                 ["supernatural", "-n", "02", "-f", "-0,-3", "--window", "-007,2"],
+                 ["supernatural", "-n", "2", "-f", "0,-3", "--window", "-6,3"],
+                 ["pure", "-d", "1:[1,3,4]", "--vars", "3"],
+                 ["pure", "-d", "-3,-1,0", "--vars", "2", "--integral"],
+                 ["ext-polytope", "fixtures/p1_o_minus2_x5.ct", "fixtures/p1_o_plus2_x5.ct",
+                  "--symmetric", "--serre-shift", "-0", "--max-points", "0400"],
+                 ["ext-polytope", "fixtures/p1_o_minus2_x5.ct", "fixtures/p1_o_plus2_x5.ct",
+                  "--max-points", "007"]]
     return commands
 
 
