@@ -8,13 +8,12 @@ or parse errors.
 import argparse
 import re
 import sys
-from pathlib import Path
 
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
 from .diagrams import DegreeSequence, integral_diagram, integral_scale, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
-from .exchange import (parse_rational, parse_table, pretty_betti,
+from .exchange import (_int, parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
 from .extension import cancellation_bounds, decide_patterns, polytope_vertices
 from .stillman import scan
@@ -44,33 +43,37 @@ def _absorb_negative_values(argv):
 
 def _load(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
+            text = fh.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
     return parse_table(text)
 
 
+def _integers(text):
+    # Each token, like each integer flag (type=_int), in the exchange grammar.
+    return tuple(_int(tok) for tok in text.split(","))
+
+
 def _parse_degrees_arg(text, vars_count):
-    match = re.fullmatch(r"(-?\d+):\[(.*)\]", text)
-    start, body = (int(match.group(1)), match.group(2)) if match else (0, text)
+    match = re.fullmatch(r"(.*):\[(.*)\]", text)
+    start, body = (_int(match.group(1)), match.group(2)) if match else (0, text)
     try:
-        degrees = tuple(int(tok) for tok in body.split(","))
-        return DegreeSequence(start, degrees, vars_count)
+        return DegreeSequence(start, _integers(body), vars_count)
     except ValueError as exc:
         raise ParseError(0, f"bad degree sequence {text!r}: {exc}") from None
 
 
 def _parse_roots_arg(text, n):
     try:
-        roots = tuple(int(tok) for tok in text.split(","))
-        return RootSequence(n, roots)
+        return RootSequence(n, _integers(text))
     except ValueError as exc:
         raise ParseError(0, f"bad root sequence {text!r}: {exc}") from None
 
 
 def _parse_window_arg(text):
     try:
-        lo, hi = (int(tok) for tok in text.split(","))
+        lo, hi = _integers(text)
     except ValueError:
         raise ParseError(0, f"bad window {text!r}, expected lo,hi") from None
     return lo, hi
@@ -228,7 +231,7 @@ def _parser():
     p = sub.add_parser("pure", help="pure diagram of a degree sequence")
     p.add_argument("-d", "--degrees", required=True,
                    help="degree sequence, e.g. 0,2,3,4 or 1:[1,3,4]")
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--vars", type=_int, required=True)
     p.add_argument("--integral", action="store_true",
                    help="smallest integral multiple instead of first entry 1")
     p.set_defaults(handler=_cmd_pure)
@@ -244,7 +247,7 @@ def _parser():
     p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("supernatural", help="supernatural table from a root sequence")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
     p.add_argument("-f", "--roots", required=True, help="roots, e.g. 0,-3")
     p.add_argument("-m", "--multiplicity", default="1")
     p.add_argument("--window", help="lo,hi (default: smallest legal window)")
@@ -261,9 +264,9 @@ def _parser():
     p.set_defaults(handler=_cmd_coh_decompose)
 
     p = sub.add_parser("stillman", help="virtual pure diagram family scan")
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--p-max", type=int, required=True)
+    p.add_argument("-e", type=_int, required=True)
+    p.add_argument("-r", type=_int, required=True)
+    p.add_argument("--p-max", type=_int, required=True)
     p.add_argument("--tsv", action="store_true")
     p.set_defaults(handler=_cmd_stillman)
 
@@ -273,8 +276,8 @@ def _parser():
     p.add_argument("b", metavar="B.ct")
     p.add_argument("--symmetric", action="store_true",
                    help="restrict to Serre-symmetric patterns")
-    p.add_argument("--max-points", type=int, default=10 ** 6)
-    p.add_argument("--serre-shift", type=int, default=0)
+    p.add_argument("--max-points", type=_int, default=10 ** 6)
+    p.add_argument("--serre-shift", type=_int, default=0)
     p.set_defaults(handler=_cmd_ext_polytope)
 
     p = sub.add_parser("pretty", help="human-readable grid for a table file")
@@ -292,10 +295,9 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(_absorb_negative_values(argv))
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
     except ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return 2

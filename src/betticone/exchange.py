@@ -48,7 +48,7 @@ def parse_rational(token, line_no=0):
     raise ParseError(line_no, f"bad rational {token!r}")
 
 
-def _int(token, line_no):
+def _int(token, line_no=0):
     if INTEGER.fullmatch(token):
         try:
             return int(token)

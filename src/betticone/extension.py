@@ -165,11 +165,6 @@ def polytope_vertices(patterns, support):
     return [patterns[k] for k in sorted(found)]
 
 
-def _in_hull(x, points):
-    """Exact membership of x in the convex hull of points."""
-    return _separate(x, points) is None
-
-
 def _separate(x, points):
     """None when x lies in the convex hull of points, else a direction a with
     a.p < a.x for every point p.

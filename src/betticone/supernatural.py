@@ -115,6 +115,7 @@ def corner_roots(g):
     window, raises NotStaircase if chi vanishes, and WindowTooSmall if not:
     the row then continues past the window edge, and so does its corner.
     g may be a ``CohomologyTable`` or its ``Numerators`` working form.
+    Each root is at most the previous one minus 1, so they strictly decrease.
     """
     minima = first_twists(g)
     for row in (0, g.n):
@@ -130,7 +131,4 @@ def corner_roots(g):
             roots.append(min(minima[row] - 1, roots[-1] - 1))
         else:
             roots.append(roots[-1] - 1)
-    for a, b in zip(roots, roots[1:]):
-        if a <= b:
-            raise NotStaircase(f"corner twists {roots} are not strictly decreasing")
     return RootSequence(g.n, tuple(roots))

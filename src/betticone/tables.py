@@ -10,8 +10,7 @@ Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
 per twist where the windows differ, never the (n + 1) x window grid.
 ``first_twists`` reads the smallest stored twist (degree) of every row
-(column), and ``peel_largest`` subtracts the largest multiple of a unit
-table, reporting the cell that binds it.  The greedies take that step in
+(column).  The greedies subtract the largest multiple of a unit table in
 place on a working remainder instead of building a table per step.
 
 ``validate`` and the cohomology greedy run on ``Numerators``, a mutable
@@ -273,19 +272,6 @@ def combine(a, b, coeff=1, nonneg=False):
         return BettiTable._trusted(a.vars, merged)
     chi = tuple(x + coeff * y for x, y in zip(a.chi, b.chi))
     return CohomologyTable._trusted(a.n, (lo, hi), merged, chi)
-
-
-def peel_largest(g, unit):
-    """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
-    unit's cells, ties going to the smallest cell; the caller refuses q <= 0,
-    so a zero ratio returns g itself.
-
-    This is the greedy step on immutable tables of either kind.  The two
-    greedies take the same step in place on their working remainders, and
-    the reference greedies of the tests are built on this one.
-    """
-    q, binding = min((g.value(i, j) / s, (i, j)) for (i, j), s in unit.entries.items())
-    return q, binding, combine(g, unit, -q) if q else g
 
 
 def first_twists(t):

@@ -11,9 +11,9 @@ from betticone import (BettiDecomposition, BettiTable, CohomologyTable,
                        add_tables, corner_roots, is_chain, normalized_diagram,
                        scale, smallest_integral, supernatural_table, validate)
 from betticone.diagrams import integral_scale
-from betticone.extension import _in_hull
+from betticone.extension import _separate
 from betticone.supernatural import CohDecomposition, chi_from_roots
-from betticone.tables import first_twists, peel_largest
+from betticone.tables import combine, first_twists
 
 
 def hk_solve(seq):
@@ -226,6 +226,11 @@ def dense_validate(t):
 # and line bundles from binomials (the library cuts them out of
 # supernatural tables).
 
+def _in_hull(x, points):
+    """Exact membership of x in the convex hull of points."""
+    return _separate(x, points) is None
+
+
 def reference_polytope_vertices(patterns, support):
     """Extreme points, each point tested against all the other points."""
     vectors = [tuple(Fraction(p.get(key, 0)) for key in support) for p in patterns]
@@ -373,6 +378,19 @@ def reference_tail_violations(t):
     if lead < 0:
         violations.append(f"leading chi coefficient {lead} is negative")
     return violations
+
+
+def peel_largest(g, unit):
+    """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
+    unit's cells, ties going to the smallest cell; the caller refuses q <= 0,
+    so a zero ratio returns g itself.
+
+    This is the greedy step on immutable tables of either kind.  The two
+    greedies take the same step in place on their working remainders, and
+    the reference greedies of the tests are built on this one.
+    """
+    q, binding = min((g.value(i, j) / s, (i, j)) for (i, j), s in unit.entries.items())
+    return q, binding, combine(g, unit, -q) if q else g
 
 
 def reference_peel_supernatural(g, roots):

@@ -346,3 +346,25 @@ def test_check_oracle_validates_once(monkeypatch, capsys, name):
         monkeypatch.setattr(module, "validate", counted)
     assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == expected
     assert len(calls) == 1
+
+
+def test_a_byte_order_mark_before_the_header_is_read(tmp_path, capsys):
+    path = tmp_path / "bom.bt"
+    path.write_text("\ufeff" + (FIXTURES / "xy2.bt").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli(capsys, "validate", str(path)) == (0, "valid\n", "")
+    assert run_cli(capsys, "member", str(path)) == (0, "in-cone yes\n", "")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0662", "0x1", "1.0"])
+@pytest.mark.parametrize("argv", [
+    ["pure", "-d", "0,1", "--vars", "{}"],
+    ["pure", "-d", "0,{}", "--vars", "2"],
+    ["supernatural", "-n", "1", "-f", "{}"],
+    ["supernatural", "-n", "1", "-f", "0", "--window", "-6,{}"],
+], ids=["--vars", "-d", "-f", "--window"])
+def test_inline_integers_follow_the_exchange_grammar(capsys, argv, token):
+    # int() would take each of these tokens; the exchange grammar takes none
+    argv = [arg.format(token) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"parse-error: line 0: bad integer {token!r}\n")

@@ -13,8 +13,8 @@ from betticone import (BoundViolation, BudgetExceeded, RootSequence,
                        enumerate_patterns, feasible_set, line_bundle_table,
                        parse_table, polytope_vertices, scale,
                        supernatural_table)
-from betticone.extension import _in_hull, decide_patterns
-from helpers import random_point_set, reference_polytope_vertices
+from betticone.extension import decide_patterns
+from helpers import _in_hull, random_point_set, reference_polytope_vertices
 from helpers import caratheodory_inside, caratheodory_vertices
 
 F = Fraction

@@ -19,7 +19,7 @@ F = Fraction
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S leaves out the site module's own imports, so only the package's count.
     code = ("import sys, betticone.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

@@ -10,7 +10,8 @@ from betticone import (BettiTable, CohomologyTable, DimensionMismatch,
                        line_bundle_table, scale, subtract_checked,
                        supernatural_table, validate)
 import betticone.tables as tables
-from betticone.tables import combine, first_twists, peel_largest
+from betticone.tables import combine, first_twists
+from helpers import peel_largest
 
 F = Fraction
 
