@@ -47,6 +47,8 @@ def _load(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"cannot decode {path}: not UTF-8 ({exc.reason})") from None
     return parse_table(text)
 
 

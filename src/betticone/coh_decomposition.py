@@ -25,9 +25,13 @@ def peel_supernatural(g, roots):
     return q, work.table()
 
 
-def _peel(work, roots):
+def _peel(work, roots, sigmas=None):
     """Subtract the largest multiple q of the unit supernatural table
     sigma_roots from a valid working table in place, and return q.
+
+    ``sigmas``, when given, maps a root tuple to sigma's cells on the window
+    and its chi coefficients, and a missing entry is built and kept there.
+    Callers share one map only between tables with the same window.
 
     sigma's cells are the ints P = |prod (j - f_k)| over n!, so the ratio at
     a cell with numerator N is N n! / (den P); the minimum is found by cross
@@ -39,8 +43,13 @@ def _peel(work, roots):
     alone.
     """
     f = roots.roots
-    _check_window(f, *work.window)
-    sigma = list(_cells(f, *work.window))
+    built = sigmas.get(f) if sigmas is not None else None
+    if built is None:
+        _check_window(f, *work.window)
+        built = list(_cells(f, *work.window)), chi_from_roots(f, 1)
+        if sigmas is not None:
+            sigmas[f] = built
+    sigma, chi = built
     entries = work.entries
     binding = None
     for key, x in sigma:
@@ -52,7 +61,7 @@ def _peel(work, roots):
     if not c:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     q = Fraction(c * factorial(roots.n), work.den * p)
-    work.subtract(c, p, sigma, chi_from_roots(f, 1))
+    work.subtract(c, p, sigma, chi)
     problems = work.tail_violations()
     if problems:
         raise TailGuardFailure("; ".join(problems))
@@ -77,11 +86,16 @@ def decompose_valid(g):
     (q > 0) zeroes its binding cell and adds none, so the loop ends; and no
     row's first twist moves down, so by ``corner_roots`` no root does: the
     roots form a chain without a check."""
+    return _decompose(Numerators(g))
+
+
+def _decompose(work, sigmas=None):
+    # decompose_valid's greedy on a working form, which it empties; sigmas
+    # as in _peel.
     terms = []
-    work = Numerators(g)
     while not work.is_zero():
         roots = corner_roots(work)
-        terms.append((_peel(work, roots), roots))
+        terms.append((_peel(work, roots, sigmas), roots))
     return CohDecomposition(tuple(terms))
 
 

@@ -9,13 +9,13 @@ form the integer points of a polytope.
 
 from fractions import Fraction
 from itertools import product
-from math import floor, prod
+from math import floor, gcd, lcm, prod
 from operator import mul
 
-from .coh_decomposition import decompose_valid
+from .coh_decomposition import _decompose
 from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
                      InvalidTable, NotInCone)
-from .tables import ZERO, CohomologyTable, add_tables, validate
+from .tables import Numerators, add_tables, validate
 
 
 def cancellation_bounds(A, B):
@@ -43,19 +43,26 @@ def apply_cancellation(A, B, pattern):
     for (i, j), v in sorted(pattern.items()):
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    return _cancel(add_tables(A, B),
-                   {key: Fraction(v) for key, v in pattern.items()})
+    return _cancel(Numerators(add_tables(A, B)), pattern).table()
 
 
 def _cancel(split, pattern):
-    # Row i at twist j and row i + 1 at twist j each lose the rank c_{i,j}.
-    # The caller's ranks are ints or Fractions, so every entry stays one.
-    entries = dict(split.entries)
+    """A working copy of the split table's ``Numerators`` in which row i at
+    twist j and row i + 1 at twist j each lose the rank c_{i,j}, that is
+    c * den in numerators; a cell that reaches zero is dropped.  The ranks
+    are ints, or the caller's Fractions in ``apply_cancellation``, whose
+    ``table()`` reads them the same way."""
+    work = split.copy()
+    entries, den = work.entries, split.den
     for (i, j), c in pattern.items():
+        c *= den
         for key in ((i, j), (i + 1, j)):
-            entries[key] = entries.get(key, ZERO) - c
-    return CohomologyTable._trusted(split.n, split.window,
-                                    {key: v for key, v in entries.items() if v}, split.chi)
+            v = entries.get(key, 0) - c
+            if v:
+                entries[key] = v
+            else:
+                entries.pop(key, None)
+    return work
 
 
 def _serre_orbits(support, n, shift):
@@ -116,21 +123,27 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     Only the split table (the all-zero pattern's) is validated: a
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
-    tails alone, so every cancelled table is valid too.
+    tails alone, so every cancelled table is valid too.  The candidates are
+    cancelled and decided on the split table's ``Numerators``; all have its
+    window, so the unit tables' cells are built once per root sequence for
+    the whole call.  A table is built only for a candidate inside the cone.
     """
     patterns = enumerate_patterns(A, B, mode, budget, serre_shift)
     split = add_tables(A, B)
     problems = validate(split)
     if problems:
         raise InvalidTable(problems)
+    split = Numerators(split)
+    sigmas = {}
     decided = []
     for pattern in patterns:
-        table = _cancel(split, pattern)
+        work = _cancel(split, pattern)
         try:
-            decompose_valid(table)
+            _decompose(work.copy(), sigmas)
         except NotInCone:
-            table = None
-        decided.append((pattern, table))
+            decided.append((pattern, None))
+        else:
+            decided.append((pattern, work.table()))
     return decided
 
 
@@ -174,28 +187,52 @@ def _separate(x, points):
     holds y_r - 1 for duals y with y.(p_s - x, 1) <= 0 for every s, and y_d
     is the phase-I objective: x is in the hull iff y_d = 0, and otherwise
     a = (y_0, ..., y_{d-1}) has a.(p_s - x) <= -y_d < 0.
+
+    The tableau is fraction-free (Edmonds 1967): each row is held as ints
+    that are a positive multiple of the rational row, reduced by their gcd
+    after every update, and the cost row as ints over a positive int
+    denominator.  Signs and ratios are those of the rational tableau, so
+    Bland's rule takes the same pivots, and the direction returned is a
+    positive multiple of a, in ints.
     """
     d = len(x)
     m = len(points)
-    A = [[Fraction(p[k] - x[k]) for p in points] for k in range(d)] + [[Fraction(1)] * m]
+    rows = [[p[k] - x[k] for p in points] for k in range(d)] + [[1] * m]
     # One artificial variable per row; the right-hand side is (0, ..., 0, 1).
-    tableau = [A[r] + [Fraction(int(r == s)) for s in range(d + 1)] + [Fraction(int(r == d))]
+    tableau = [_cleared(rows[r] + [int(r == s) for s in range(d + 1)] + [int(r == d)])[0]
                for r in range(d + 1)]
     basis = [m + r for r in range(d + 1)]
-    cost = [sum(column) for column in zip(*A)] + [Fraction(0)] * (d + 1)
+    cost, den = _cleared([sum(column) for column in zip(*rows)] + [0] * (d + 1))
     while (entering := next((c for c, v in enumerate(cost) if v > 0), None)) is not None:
         # The entering column has a positive entry: the phase-I objective is
-        # bounded below by 0, so the program is never unbounded.
-        pivot_row = min((r for r in range(d + 1) if tableau[r][entering] > 0),
-                        key=lambda r: (tableau[r][-1] / tableau[r][entering], basis[r]))
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [a / pivot for a in tableau[pivot_row]]
-        for r in range(d + 1):
-            if r != pivot_row and tableau[r][entering] != 0:
-                f = tableau[r][entering]
-                tableau[r] = [a - f * p for a, p in zip(tableau[r], tableau[pivot_row])]
+        # bounded below by 0, so the program is never unbounded.  Ratio test
+        # rhs / entry by cross multiplication, ties to the smaller basis index.
+        pivot_row = None
+        for r, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0 and (pivot_row is None or (row[-1] * pivot, basis[r])
+                          < (rhs * a, basis[pivot_row])):
+                pivot_row, pivot, rhs = r, a, row[-1]
+        prow = tableau[pivot_row]
+        for r, row in enumerate(tableau):
+            f = row[entering]
+            if r != pivot_row and f:
+                row = [pivot * a - f * p for a, p in zip(row, prow)]
+                g = gcd(*row)
+                tableau[r] = [a // g for a in row] if g > 1 else row
         f = cost[entering]
-        cost = [a - f * p for a, p in zip(cost, tableau[pivot_row])]
+        cost = [pivot * a - f * p for a, p in zip(cost, prow)]
+        den *= pivot
+        g = gcd(den, *cost)
+        if g > 1:
+            den //= g
+            cost = [a // g for a in cost]
         basis[pivot_row] = entering
-    y = [c + 1 for c in cost[m:]]
+    y = [c + den for c in cost[m:]]
     return None if y[d] == 0 else y[:d]
+
+
+def _cleared(values):
+    # (ints, den) with ints / den the given ints or Fractions, den > 0.
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

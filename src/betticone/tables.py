@@ -13,9 +13,10 @@ per twist where the windows differ, never the (n + 1) x window grid.
 (column).  The greedies subtract the largest multiple of a unit table in
 place on a working remainder instead of building a table per step.
 
-``validate`` and the cohomology greedy run on ``Numerators``, a mutable
-working form holding int numerators over one common denominator, so that
-they build no ``Fraction`` per cell; values leave it as ``Fraction``.
+``validate``, the cohomology greedy and the extension's cancellations run on
+``Numerators``, a mutable working form holding int numerators over one
+common denominator, so that they build no ``Fraction`` per cell; values
+leave it as ``Fraction``.
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -360,6 +361,15 @@ class Numerators:
         self.entries = {key: v.numerator * (den // v.denominator)
                         for key, v in t.entries.items()}
         self.chi = [c.numerator * (den // c.denominator) for c in t.chi]
+
+    def copy(self):
+        """An independent working copy: ``subtract`` on either one leaves
+        the other alone."""
+        new = Numerators.__new__(Numerators)
+        new.n, new.window, new.den = self.n, self.window, self.den
+        new.entries = dict(self.entries)
+        new.chi = list(self.chi)
+        return new
 
     def fraction(self, v):
         """The value whose numerator over ``den`` is v."""

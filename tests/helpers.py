@@ -222,13 +222,42 @@ def dense_validate(t):
 
 # References computed another way than the library: every hull point
 # tested against all the others (the library tests it against the vertices
-# found so far), by the library's simplex and by Caratheodory elimination,
-# and line bundles from binomials (the library cuts them out of
-# supernatural tables).
+# found so far), by the library's simplex and by Caratheodory elimination;
+# the separation simplex on Fraction rows (the library pivots in ints); and
+# line bundles from binomials (the library cuts them out of supernatural
+# tables).
 
 def _in_hull(x, points):
     """Exact membership of x in the convex hull of points."""
     return _separate(x, points) is None
+
+
+def reference_separate(x, points):
+    """The separation simplex as it was on ``Fraction`` rows: None when x is
+    in the convex hull of points, else the direction a = (y_0, ..., y_{d-1})
+    read off the phase-I cost row.  The library pivots the same tableau in
+    ints and returns a positive multiple of this a."""
+    d = len(x)
+    m = len(points)
+    A = [[Fraction(p[k] - x[k]) for p in points] for k in range(d)] + [[Fraction(1)] * m]
+    tableau = [A[r] + [Fraction(int(r == s)) for s in range(d + 1)] + [Fraction(int(r == d))]
+               for r in range(d + 1)]
+    basis = [m + r for r in range(d + 1)]
+    cost = [sum(column) for column in zip(*A)] + [Fraction(0)] * (d + 1)
+    while (entering := next((c for c, v in enumerate(cost) if v > 0), None)) is not None:
+        pivot_row = min((r for r in range(d + 1) if tableau[r][entering] > 0),
+                        key=lambda r: (tableau[r][-1] / tableau[r][entering], basis[r]))
+        pivot = tableau[pivot_row][entering]
+        tableau[pivot_row] = [a / pivot for a in tableau[pivot_row]]
+        for r in range(d + 1):
+            if r != pivot_row and tableau[r][entering] != 0:
+                f = tableau[r][entering]
+                tableau[r] = [a - f * p for a, p in zip(tableau[r], tableau[pivot_row])]
+        f = cost[entering]
+        cost = [a - f * p for a, p in zip(cost, tableau[pivot_row])]
+        basis[pivot_row] = entering
+    y = [c + 1 for c in cost[m:]]
+    return None if y[d] == 0 else y[:d]
 
 
 def reference_polytope_vertices(patterns, support):

@@ -357,6 +357,14 @@ def test_a_byte_order_mark_before_the_header_is_read(tmp_path, capsys):
     assert run_cli(capsys, "member", str(path)) == (0, "in-cone yes\n", "")
 
 
+def test_a_table_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.bt"
+    text = (FIXTURES / "xy2.bt").read_bytes()
+    path.write_bytes(text[:20] + b"\xff" + text[20:])
+    assert run_cli(capsys, "validate", str(path)) == (
+        2, "", f"parse-error: line 0: cannot decode {path}: not UTF-8 (invalid start byte)\n")
+
+
 @pytest.mark.parametrize("token", ["1_0", "+2", "\u0662", "0x1", "1.0"])
 @pytest.mark.parametrize("argv", [
     ["pure", "-d", "0,1", "--vars", "{}"],

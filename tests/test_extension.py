@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
 import betticone.tables as tables
 from betticone import (BoundViolation, BudgetExceeded, RootSequence,
@@ -16,6 +17,7 @@ from betticone import (BoundViolation, BudgetExceeded, RootSequence,
 from betticone.extension import decide_patterns
 from helpers import _in_hull, random_point_set, reference_polytope_vertices
 from helpers import caratheodory_inside, caratheodory_vertices
+from helpers import reference_separate
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -267,3 +269,71 @@ def test_vertices_of_the_k3_triangle_take_one_lp_per_point(monkeypatch):
     vertices = polytope_vertices(feasible, sorted(cancellation_bounds(a, b)))
     assert len(vertices) == 3
     assert len(sizes) <= 139 and max(sizes) <= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 4), st.booleans())
+def test_integer_separation_matches_the_fraction_simplex(seed, dim, fractional):
+    # Same verdict, and a direction that is a positive multiple of the one
+    # the Fraction tableau reads off, also on points with denominators.
+    rng = random.Random(seed)
+    points = random_point_set(rng, dim, max_points=8)
+    if fractional:
+        points = [tuple(F(v, rng.randint(1, 4)) for v in p) for p in points]
+    outside = tuple(F(rng.randint(-5, 5)) for _ in range(dim))
+    for k, x in enumerate(points + [outside]):
+        others = points[:k] + points[k + 1:]
+        a, ref = extension._separate(x, others), reference_separate(x, others)
+        assert (a is None) == (ref is None)
+        if a is not None:
+            assert all(ai * rj == aj * ri for ai, ri in zip(a, ref) for aj, rj in zip(a, ref))
+            assert sum(ai * ri for ai, ri in zip(a, ref)) > 0
+
+
+def _counting_fraction_ops(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return counts
+
+
+def test_candidates_are_cancelled_without_fraction_subtraction(monkeypatch):
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    counts = _counting_fraction_ops(monkeypatch, ["__sub__", "__rsub__"])
+    decided = decide_patterns(a, b)
+    assert len(decided) == 396
+    assert sum(table is not None for _, table in decided) == 55
+    assert counts == {"__sub__": 0, "__rsub__": 0}
+
+
+def test_sigma_cells_are_built_once_per_root_sequence(monkeypatch):
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    built = []
+    cells = coh_decomposition._cells
+
+    def counted(f, lo, hi):
+        built.append((f, lo, hi))
+        return cells(f, lo, hi)
+    monkeypatch.setattr(coh_decomposition, "_cells", counted)
+    decide_patterns(a, b)
+    assert len(built) > 1
+    assert len(set(built)) == len(built)
+
+
+def test_vertices_of_the_k3_triangle_take_no_fraction_arithmetic(monkeypatch):
+    a = scale(line_bundle_table(1, -2, (-6, 4)), 15)
+    b = scale(line_bundle_table(1, 2, (-6, 4)), 15)
+    feasible = [p for p, _ in feasible_set(a, b, mode="serre-symmetric")]
+    support = sorted(cancellation_bounds(a, b))
+    counts = _counting_fraction_ops(monkeypatch, [
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__lt__", "__gt__", "__le__", "__ge__", "__eq__"])
+    vertices = polytope_vertices(feasible, support)
+    assert [tuple(v.get(key, 0) for key in support) for v in vertices] == [
+        (0, 0, 0), (15, 15, 15), (15, 30, 15)]
+    assert not any(counts.values())
