@@ -4,13 +4,21 @@ Each round reads off the top strand (minimal degree per column from the
 first nonempty column), subtracts the largest multiple of its pure diagram
 that keeps the table nonnegative, and repeats.  A table lies in the cone
 exactly when this empties the table along a chain of degree sequences.
+
+The greedy works on ints: each cell's value is held as a reduced
+(numerator, positive denominator) pair, and a peel reads and rewrites the
+strand's cells only, with one gcd per cell, so it costs O(strand) whatever
+the table's support.  Only each term's coefficient and diagram leave it as
+``Fraction``.
 """
 
+from fractions import Fraction
 from heapq import heapify, heappop
+from math import gcd
 
 from .coh_decomposition import decompose_cohomology
-from .diagrams import (DegreeSequence, PureDiagram, integral_diagram, is_chain,
-                       normalized_diagram)
+from .diagrams import (DegreeSequence, _gap_products, _integral, _integral_values,
+                       _normalized, is_chain)
 from .errors import NotInCone, StrandNotIncreasing
 from .tables import BettiTable, Record, combine, first_twists
 
@@ -67,30 +75,48 @@ def peel(b, seq):
     q is the minimum ratio along the strand, so the remainder stays
     nonnegative and at least one strand entry reaches zero.
     """
-    work = dict(b.entries)
-    q = _peel(work, normalized_diagram(seq))
-    return q, BettiTable(b.vars, work)
+    work = _pairs(b)
+    w = _integral_values(_gap_products(seq.degrees))
+    n, d = _peel(work, seq, w)
+    # the normalized diagram is w / w_0
+    return Fraction(n * w[0], d), BettiTable._trusted(
+        b.vars, {key: Fraction(*pair) for key, pair in work.items()})
 
 
-def _peel(work, pi):
-    # peel on a mutable cell map: q * pi comes off the strand's cells only,
-    # ties for the binding cell going to the smallest one.
-    seq = pi.sequence
-    strand = [((seq.start + k, d), v)
-              for k, (d, v) in enumerate(zip(seq.degrees, pi.values))]
-    q, binding = min((work.get(key, 0) / v, key) for key, v in strand)
-    if q < 0:
-        # reported against the first-entry-1 diagram, whichever pi peels
-        raise ValueError(f"scale factor must be nonnegative, got {q * pi.values[0]}")
-    if q == 0:
+def _pairs(b):
+    # The greedy's working form of a table: cell -> (numerator, denominator).
+    return {key: (v.numerator, v.denominator) for key, v in b.entries.items()}
+
+
+def _peel(work, seq, w):
+    # Subtract the largest multiple q of the diagram with positive int
+    # entries w along seq's strand from the working form in place, and
+    # return q as an int pair (n, d).  A cell N / D has ratio N / (D w_k);
+    # the least one binds, found by cross-multiplication, ties going to the
+    # first (smallest) cell.  Each strand cell becomes N / D - q w_k with
+    # one gcd, and the binding cell is dropped.
+    start = seq.start
+    strand = [(start + k, dk) for k, dk in enumerate(seq.degrees)]
+    binding = None
+    for key, wk in zip(strand, w):
+        N, D = work.get(key, (0, 1))
+        if binding is None or N * d < n * D * wk:
+            binding, n, d = key, N, D * wk
+    if n < 0:
+        # reported against the first-entry-1 diagram, whichever w peels
+        raise ValueError(f"scale factor must be nonnegative, got {Fraction(n * w[0], d)}")
+    if n == 0:
         raise ValueError(f"strand position {binding} absent from table")
-    for key, v in strand:
-        rest = work[key] - q * v
+    for key, wk in zip(strand, w):
+        N, D = work[key]
+        rest = N * d - n * wk * D
         if rest:
-            work[key] = rest
+            D *= d
+            g = gcd(rest, D)
+            work[key] = (rest // g, D // g)
         else:
             del work[key]
-    return q
+    return n, d
 
 
 def _minima(work, columns):
@@ -122,7 +148,7 @@ def decompose(b, normalized=False):
     terms = []
     seqs = []
     truncations = []
-    work = dict(b.entries)
+    work = _pairs(b)
     columns = {}
     for i, d in work:
         columns.setdefault(i, []).append(d)
@@ -130,13 +156,13 @@ def decompose(b, normalized=False):
         heapify(heap)
     while work:
         seq, truncated_at = _strand_info(_minima(work, columns), b.vars)
-        w = integral_diagram(seq)
-        q = _peel(work, w)
+        D = _gap_products(seq.degrees)
+        w = _integral_values(D)
+        n, d = _peel(work, seq, w)
         if normalized:
-            w0 = w.values[0]
-            terms.append((q * w0, PureDiagram(seq, tuple(v / w0 for v in w.values))))
+            terms.append((Fraction(n * w[0], d), _normalized(seq, D)))
         else:
-            terms.append((q, w))
+            terms.append((Fraction(n, d), _integral(seq, w)))
         seqs.append(seq)
         truncations.append(truncated_at)
     for step, (d, e) in enumerate(zip(seqs, seqs[1:]), start=1):

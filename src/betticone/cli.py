@@ -11,13 +11,13 @@ import sys
 
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
-from .diagrams import DegreeSequence, integral_diagram, integral_scale, normalized_diagram
+from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (_int, parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
 from .extension import cancellation_bounds, decide_patterns, polytope_vertices
 from .stillman import scan
-from .supernatural import RootSequence, supernatural_table
+from .supernatural import RootSequence, _integral_multiple, supernatural_table
 from .tables import BettiTable, CohomologyTable, validate
 
 # Flags whose values may start with a minus sign; they are glued to the flag
@@ -151,8 +151,7 @@ def _cmd_coh_decompose(args):
         result = decompose_cohomology(table)
     for coeff, roots in result:
         if args.integral:
-            unit = supernatural_table(roots, 1, table.window)
-            s = integral_scale(unit.entries.values())
+            s = _integral_multiple(roots, table.window)
             print(f"term {coeff / s} roots={roots} multiple={s}")
         else:
             print(f"term {coeff} roots={roots}")

@@ -9,7 +9,9 @@ to scale, one pure diagram: the extremal rays of the cone of Betti tables.
 
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
+from operator import sub
 
 from .errors import DimensionMismatch
 from .tables import BettiTable, Record
@@ -69,9 +71,11 @@ class Ordering(Enum):
 
 
 def _gap_products(d):
-    # D_k = prod_{j != k} |d_j - d_k| for strictly increasing degrees d; the
+    # D_k = prod_{j != k} |d_j - d_k| for strictly increasing degrees d, the
+    # product of d_k - d_j over j < k times that of d_j - d_k over j > k; the
     # pure diagram of d is proportional to 1 / D_k.
-    return [prod(abs(dj - dk) for dj in d if dj != dk) for dk in d]
+    return [prod(map(sub, repeat(dk), d[:k])) * prod(map(sub, d[k + 1:], repeat(dk)))
+            for k, dk in enumerate(d)]
 
 
 def normalized_diagram(seq):
@@ -81,8 +85,13 @@ def normalized_diagram(seq):
     positive solution of the moment equations
     sum_k (-1)^k beta_k d_k^m = 0 for m = 0..l-1 with beta_0 = 1.
     """
-    D = _gap_products(seq.degrees)
-    return PureDiagram(seq, tuple(Fraction(D[0], Dk) for Dk in D))
+    return _normalized(seq, _gap_products(seq.degrees))
+
+
+def _normalized(seq, D):
+    # normalized_diagram from the gap products D of seq; its entries are
+    # positive by construction, so the constructor's checks are skipped.
+    return PureDiagram._trusted(seq, tuple(Fraction(D[0], Dk) for Dk in D))
 
 
 def integral_diagram(seq):
@@ -91,9 +100,19 @@ def integral_diagram(seq):
     Entry k is L / D_k for L = lcm(D); these entries already have gcd 1,
     since gcd_k(L / D_k) = L / lcm(D).
     """
-    D = _gap_products(seq.degrees)
+    return _integral(seq, _integral_values(_gap_products(seq.degrees)))
+
+
+def _integral_values(D):
+    # The int entries L // D_k of the smallest integral diagram with gap
+    # products D.
     L = lcm(*D)
-    return PureDiagram(seq, tuple(L // Dk for Dk in D))
+    return [L // Dk for Dk in D]
+
+
+def _integral(seq, w):
+    # integral_diagram from its int entries w, positive by construction.
+    return PureDiagram._trusted(seq, tuple(map(Fraction, w)))
 
 
 def moment_sums(diagram):

@@ -8,7 +8,7 @@ of the cone of vector-bundle cohomology tables.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .errors import NotStaircase, WindowTooSmall
 from .tables import CohomologyTable, Record, first_twists
@@ -92,6 +92,21 @@ def _cells(f, lo, hi):
         top = hi if row == 0 else min(hi, f[row - 1] - 1)
         for j in range(lo if row == n else max(lo, f[row] + 1), top + 1):
             yield (row, j), abs(prod(j - fk for fk in f))
+
+
+def _integral_multiple(roots, window):
+    """The smallest positive s making s times the unit supernatural table of
+    the roots integral on the window (which must hold the staircase).
+
+    The entries are the int cells P over n!, so s = n! / gcd(P); the gcd
+    stops at the first 1, and no table is built.
+    """
+    g = 0
+    for _, x in _cells(roots.roots, *window):
+        g = gcd(g, x)
+        if g == 1:
+            break
+    return Fraction(factorial(roots.n), g)
 
 
 def line_bundle_table(n, a, window):

@@ -16,7 +16,11 @@ place on a working remainder instead of building a table per step.
 ``validate``, the cohomology greedy and the extension's cancellations run on
 ``Numerators``, a mutable working form holding int numerators over one
 common denominator, so that they build no ``Fraction`` per cell; values
-leave it as ``Fraction``.
+leave it as ``Fraction``.  The Betti greedy keeps a reduced int
+(numerator, denominator) pair per cell instead (see ``betti_decomposition``):
+a common denominator would rescale the whole table whenever a step's
+coefficient brings a new one, while a pair per cell keeps each peel
+O(strand).
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).

@@ -449,8 +449,19 @@ def reference_decompose_cohomology(g):
     return CohDecomposition(tuple(terms))
 
 
+def reference_peel(b, seq):
+    """``peel`` on ``Fraction`` tables: one ``peel_largest`` step against the
+    normalized pure diagram of ``seq``, refusing q <= 0 as the greedy does."""
+    q, binding, remainder = peel_largest(b, normalized_diagram(seq).table())
+    if q < 0:
+        raise ValueError(f"scale factor must be nonnegative, got {q}")
+    if q == 0:
+        raise ValueError(f"strand position {binding} absent from table")
+    return q, remainder
+
+
 def reference_decompose(b, normalized=False):
-    """``decompose`` with a ``first_twists`` rescan and a ``peel_largest``
+    """``decompose`` with a ``first_twists`` rescan and a ``reference_peel``
     copy of the table at every step."""
     terms = []
     seqs = []
@@ -469,12 +480,8 @@ def reference_decompose(b, normalized=False):
             degrees.append(minima[i])
             i += 1
         seq = DegreeSequence(a, tuple(degrees), b.vars)
+        q, work = reference_peel(work, seq)
         pi = normalized_diagram(seq)
-        q, binding, work = peel_largest(work, pi.table())
-        if q < 0:
-            raise ValueError(f"scale factor must be nonnegative, got {q}")
-        if q == 0:
-            raise ValueError(f"strand position {binding} absent from table")
         if normalized:
             terms.append((q, pi))
         else:

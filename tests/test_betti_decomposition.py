@@ -1,4 +1,5 @@
 import random
+from ast import literal_eval
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from betticone import (BettiTable, DegreeSequence, NotInCone, StrandNotIncreasin
                        decompose, is_chain, is_member, min_strand,
                        normalized_diagram, peel, recompose,
                        smallest_integral)
-from helpers import chain_combination, random_chain, reference_decompose
+from helpers import (chain_combination, random_chain, random_degree_sequence,
+                     reference_decompose, reference_peel)
 
 F = Fraction
 
@@ -291,7 +293,9 @@ def long_chain(rng, vars_count, length):
     return seqs
 
 
-def test_decompose_copies_no_table_and_reads_minima_from_heaps(monkeypatch):
+def six_hundred_term_chain():
+    """A positive combination of the smallest integral diagrams along a
+    600-term chain on 12 variables: the table, coefficients and chain."""
     rng = random.Random(600)
     seqs = long_chain(rng, 12, 600)
     entries = {}
@@ -301,7 +305,11 @@ def test_decompose_copies_no_table_and_reads_minima_from_heaps(monkeypatch):
         coeffs.append(c)
         for key, v in smallest_integral(normalized_diagram(seq)).table().entries.items():
             entries[key] = entries.get(key, 0) + c * v
-    table = BettiTable(12, entries)
+    return BettiTable(12, entries), coeffs, seqs
+
+
+def test_decompose_copies_no_table_and_reads_minima_from_heaps(monkeypatch):
+    table, coeffs, seqs = six_hundred_term_chain()
     calls = {"combine": 0, "first_twists": 0}
     for module in (tables, betti_decomposition):
         for name in calls:
@@ -312,3 +320,77 @@ def test_decompose_copies_no_table_and_reads_minima_from_heaps(monkeypatch):
     result = decompose(table)
     assert [(c, d.sequence) for c, d in result] == list(zip(coeffs, seqs))
     assert calls["combine"] == 0 and calls["first_twists"] <= 1
+
+
+def test_decompose_subtracts_divides_and_compares_no_fraction(monkeypatch):
+    # The greedy runs on int pairs: only each term's coefficient and its
+    # diagram's values are built as Fractions.
+    table, coeffs, seqs = six_hundred_term_chain()
+    calls = {}
+    for name in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__eq__",
+                 "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(*args, _name=name, _original=getattr(F, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(F, name, counted)
+    result = decompose(table)
+    normalized = decompose(table, normalized=True)
+    assert calls == {}
+    monkeypatch.undo()
+    assert [(c, d.sequence) for c, d in result] == list(zip(coeffs, seqs))
+    assert [c for c, _ in normalized] == [c * d.values[0] for c, d in result]
+
+
+def strand_table(rng):
+    """A degree sequence (its window shifted) and a table whose strand
+    cells sit on or above a multiple of its pure diagram, then up to three
+    of them made absent, zero or negative, and a few cells off the strand."""
+    base = random_degree_sequence(rng, max_vars=7)
+    seq = DegreeSequence(rng.randint(-3, 3), base.degrees, base.vars)
+    strand = [(seq.start + k, d) for k, d in enumerate(seq.degrees)]
+    q = F(rng.randint(1, 9), rng.randint(1, 5))
+    entries = {}
+    for key, v in zip(strand, normalized_diagram(seq).values):
+        entries[key] = q * v + rng.choice([0, F(rng.randint(1, 9), rng.randint(1, 7))])
+    for _ in range(rng.randint(0, 3)):
+        key = rng.choice(strand)
+        move = rng.randrange(3)
+        if move == 0:
+            entries.pop(key, None)
+        else:
+            entries[key] = F(0) if move == 1 else F(-rng.randint(1, 9), rng.randint(1, 3))
+    for _ in range(rng.randint(0, 3)):
+        entries[(rng.randint(-4, 10), rng.randint(-25, 25))] = F(rng.randint(-3, 9),
+                                                                 rng.randint(1, 4))
+    return BettiTable(seq.vars, entries), seq
+
+
+def peel_outcome(peeler, b, seq):
+    try:
+        q, remainder = peeler(b, seq)
+    except ValueError as exc:
+        return str(exc)
+    return q, remainder.vars, remainder.entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_peel_matches_the_fraction_peel(seed):
+    b, seq = strand_table(random.Random(seed))
+    assert peel_outcome(peel, b, seq) == peel_outcome(reference_peel, b, seq)
+
+
+def test_the_strand_tables_reach_every_peel_outcome():
+    kinds = set()
+    for seed in range(300):
+        b, seq = strand_table(random.Random(seed))
+        outcome = peel_outcome(peel, b, seq)
+        if not isinstance(outcome, str):
+            kinds.add("peeled")
+        elif outcome.startswith("scale factor"):
+            kinds.add("negative")
+        else:
+            binding = literal_eval(outcome.removeprefix("strand position ")
+                                   .removesuffix(" absent from table"))
+            kinds.add("stored zero" if binding in b.entries else "absent")
+    assert kinds == {"peeled", "negative", "stored zero", "absent"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betticone.cli as cli
 import betticone.coh_decomposition as coh_decomposition
 import betticone.supernatural as supernatural
 import betticone.tables as tables
@@ -13,7 +14,8 @@ from betticone import (CohomologyTable, InvalidTable, NotInCone, NotStaircase,
                        RootSequence, TailGuardFailure, WindowTooSmall, add_tables,
                        corner_roots, decompose_cohomology, is_member,
                        line_bundle_table, p1_oracle, parse_table,
-                       peel_supernatural, scale, supernatural_table, validate)
+                       peel_supernatural, scale, serialize_table,
+                       supernatural_table, validate)
 from betticone.tables import combine
 from helpers import (random_root_chain, reference_decompose_cohomology,
                      reference_p1_oracle, reference_peel_supernatural,
@@ -472,3 +474,21 @@ def test_wide_p1_greedy_builds_no_fraction_table(monkeypatch):
     dec = decompose_cohomology(t)
     assert [(c, r.roots) for c, r in dec] == [(1, (f,)) for f in range(1, 800, 2)]
     assert calls == {"peel": 400, "supernatural_table": 0, "combine": 0}
+
+
+def test_integral_multiples_build_no_supernatural_table(monkeypatch, tmp_path, capsys):
+    # coh-decompose --integral reads each term's multiple off sigma's int
+    # cells instead of building sigma over the whole window
+    path = tmp_path / "wide.ct"
+    path.write_text(serialize_table(every_second_twist_table(801)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return supernatural_table(*args, **kwargs)
+    monkeypatch.setattr(supernatural, "supernatural_table", counted)
+    monkeypatch.setattr(cli, "supernatural_table", counted)
+    assert cli.main(["coh-decompose", str(path), "--integral"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"term 1 roots={f} multiple=1" for f in range(1, 800, 2)]
+    assert calls == []

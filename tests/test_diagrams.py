@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from betticone import (DegreeSequence, DimensionMismatch, Ordering, compare,
                        is_chain, moment_sums, normalized_diagram,
                        smallest_integral)
-from betticone.diagrams import integral_diagram
+from betticone.diagrams import _gap_products, integral_diagram
 from helpers import hk_solve, random_chain, random_degree_sequence
 
 F = Fraction
@@ -170,3 +170,11 @@ def test_random_chains_are_chains():
     rng = random.Random(11)
     for _ in range(40):
         assert is_chain(random_chain(rng, vars_count=rng.randint(1, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 20), min_size=1, max_size=14, unique=True))
+def test_gap_products_are_the_products_of_distances(degrees):
+    d = sorted(degrees)
+    assert _gap_products(tuple(d)) == [
+        prod(abs(dj - dk) for j, dj in enumerate(d) if j != k) for k, dk in enumerate(d)]

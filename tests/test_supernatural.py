@@ -10,6 +10,7 @@ import betticone.supernatural as supernatural
 from betticone import (CohomologyTable, NotStaircase, RootSequence,
                        WindowTooSmall, chi_eval, corner_roots,
                        line_bundle_table, supernatural_table, validate)
+from betticone.diagrams import integral_scale
 from helpers import reference_line_bundle_table
 
 F = Fraction
@@ -166,3 +167,14 @@ def test_line_bundle_table_evaluates_only_its_window(monkeypatch):
     t = line_bundle_table(2, 0, (2000, 2010))
     assert len(calls) == 11
     assert t.entries == reference_line_bundle_table(2, 0, (2000, 2010)).entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_integral_multiple_is_the_unit_tables_integral_scale(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    roots = RootSequence(n, tuple(sorted(rng.sample(range(-12, 13), n), reverse=True)))
+    window = (roots.roots[-1] - 1 - rng.randint(0, 6), roots.roots[0] + 1 + rng.randint(0, 6))
+    assert supernatural._integral_multiple(roots, window) == \
+        integral_scale(supernatural_table(roots, 1, window).entries.values())
