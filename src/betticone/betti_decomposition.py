@@ -41,7 +41,8 @@ class BettiDecomposition(Record):
 def _strand_info(minima, vars):
     # The top strand of a table with the given column minima, plus the
     # column (or None) at which a nonempty column with non-increasing
-    # minimum forced truncation.
+    # minimum forced truncation.  Its degrees strictly increase and number
+    # at most vars + 1 by construction, so they skip the checks.
     a = min(minima)
     degrees = [minima[a]]
     truncated_at = None
@@ -54,7 +55,7 @@ def _strand_info(minima, vars):
             break
         degrees.append(minima[i])
         i += 1
-    return DegreeSequence(a, tuple(degrees), vars), truncated_at
+    return DegreeSequence._trusted(a, tuple(degrees), vars), truncated_at
 
 
 def min_strand(b):

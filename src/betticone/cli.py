@@ -78,6 +78,8 @@ def _parse_window_arg(text):
         lo, hi = _integers(text)
     except ValueError:
         raise ParseError(0, f"bad window {text!r}, expected lo,hi") from None
+    if lo > hi:  # as the exchange parser words it
+        raise ParseError(0, f"empty window {(lo, hi)}")
     return lo, hi
 
 

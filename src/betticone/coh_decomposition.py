@@ -75,10 +75,11 @@ def decompose_cohomology(g):
     greedy cannot empty the window, and WindowTooSmall when a corner sits too
     close to the window edge to peel safely.
     """
-    problems = validate(g)
+    work = Numerators(g)
+    problems = validate(work)
     if problems:
         raise InvalidTable(problems)
-    return decompose_valid(g)
+    return _decompose(work)
 
 
 def decompose_valid(g):

@@ -14,7 +14,7 @@ from math import gcd, lcm, prod
 from operator import sub
 
 from .errors import DimensionMismatch
-from .tables import BettiTable, Record
+from .tables import BettiTable, Record, _cleared
 
 
 class DegreeSequence(Record):
@@ -130,10 +130,8 @@ def moment_sums(diagram):
 
 def integral_scale(values):
     """Smallest positive rational multiplier making all values integers."""
-    values = [Fraction(v) for v in values]
-    den_lcm = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den_lcm // v.denominator) for v in values]
-    return Fraction(den_lcm, gcd(*scaled))
+    scaled, den = _cleared([Fraction(v) for v in values])
+    return Fraction(den, gcd(*scaled))
 
 
 def smallest_integral(diagram):

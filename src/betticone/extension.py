@@ -9,24 +9,19 @@ form the integer points of a polytope.
 
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd, lcm, prod
+from math import floor, gcd, prod
 from operator import mul
 
 from .coh_decomposition import _decompose
-from .errors import (BoundViolation, BudgetExceeded, DimensionMismatch,
-                     InvalidTable, NotInCone)
-from .tables import Numerators, add_tables, validate
+from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
+from .tables import Numerators, _cleared, _union_cells, add_tables, validate
 
 
 def cancellation_bounds(A, B):
     """Rank caps min(gamma_i(B)(j), gamma_{i+1}(A)(j)) for the connecting maps."""
-    if A.n != B.n:
-        raise DimensionMismatch(f"n {A.n} != {B.n}")
-    lo = min(A.window[0], B.window[0])
-    hi = max(A.window[1], B.window[1])
-    a_cells = A.cells(lo, hi)
+    _, a_cells, b_cells = _union_cells(A, B)
     bounds = {}
-    for (i, j), b in sorted(B.cells(lo, hi).items()):
+    for (i, j), b in sorted(b_cells.items()):
         cap = min(b, a_cells.get((i + 1, j), 0))
         if cap > 0:
             bounds[(i, j)] = cap
@@ -129,11 +124,10 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     the whole call.  A table is built only for a candidate inside the cone.
     """
     patterns = enumerate_patterns(A, B, mode, budget, serre_shift)
-    split = add_tables(A, B)
+    split = Numerators(add_tables(A, B))
     problems = validate(split)
     if problems:
         raise InvalidTable(problems)
-    split = Numerators(split)
     sigmas = {}
     decided = []
     for pattern in patterns:
@@ -230,9 +224,3 @@ def _separate(x, points):
         basis[pivot_row] = entering
     y = [c + den for c in cost[m:]]
     return None if y[d] == 0 else y[:d]
-
-
-def _cleared(values):
-    # (ints, den) with ints / den the given ints or Fractions, den > 0.
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den

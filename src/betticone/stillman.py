@@ -67,6 +67,7 @@ class ScanRow(Record):
 
 def scan(e, r, p_max):
     """Family members for p = 0..p_max, each with its integrality and codim report."""
+    StillmanParams(e, r, p_max)  # checks all three, also when p_max < 0
     rows = []
     for p in range(p_max + 1):
         params = StillmanParams(e, r, p)

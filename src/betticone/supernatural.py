@@ -146,4 +146,4 @@ def corner_roots(g):
             roots.append(min(minima[row] - 1, roots[-1] - 1))
         else:
             roots.append(roots[-1] - 1)
-    return RootSequence(g.n, tuple(roots))
+    return RootSequence._trusted(g.n, tuple(roots))

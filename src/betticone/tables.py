@@ -8,19 +8,21 @@ reports a stored zero as not positive.
 
 Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
-per twist where the windows differ, never the (n + 1) x window grid.
-``first_twists`` reads the smallest stored twist (degree) of every row
-(column).  The greedies subtract the largest multiple of a unit table in
-place on a working remainder instead of building a table per step.
+per twist where the windows differ, never the (n + 1) x window grid.  Two
+cohomology tables are read over their union window by ``_union_cells``
+alone, and denominators are cleared by ``_cleared`` alone.  ``first_twists``
+reads the smallest stored twist (degree) of every row (column).  The
+greedies subtract the largest multiple of a unit table in place on a working
+remainder instead of building a table per step.
 
 ``validate``, the cohomology greedy and the extension's cancellations run on
 ``Numerators``, a mutable working form holding int numerators over one
-common denominator, so that they build no ``Fraction`` per cell; values
-leave it as ``Fraction``.  The Betti greedy keeps a reduced int
-(numerator, denominator) pair per cell instead (see ``betti_decomposition``):
-a common denominator would rescale the whole table whenever a step's
-coefficient brings a new one, while a pair per cell keeps each peel
-O(strand).
+common denominator, built once per entry point (``validate`` takes a table
+or this form); values leave it as ``Fraction``.  The Betti greedy keeps a
+reduced int (numerator, denominator) pair per cell instead (see
+``betti_decomposition``): a common denominator would rescale the whole
+table whenever a step's coefficient brings a new one, while a pair per cell
+keeps each peel O(strand).
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -228,9 +230,8 @@ class CohomologyTable(Record):
             return NotImplemented
         if self.n != other.n or self.chi != other.chi:
             return False
-        lo = min(self.window[0], other.window[0])
-        hi = max(self.window[1], other.window[1])
-        return self.cells(lo, hi) == other.cells(lo, hi)
+        _, mine, theirs = _union_cells(self, other)
+        return mine == theirs
 
     __hash__ = None
 
@@ -238,6 +239,23 @@ class CohomologyTable(Record):
         cells = ", ".join(f"({i},{j}): {v}" for (i, j), v in sorted(self.entries.items()))
         return (f"CohomologyTable(n={self.n}, window={self.window}, "
                 f"chi={[str(c) for c in self.chi]}, {{{cells}}})")
+
+
+def _union_cells(a, b):
+    """The union (lo, hi) of two cohomology tables' windows and each one's
+    ``cells`` on it; tables over different P^n raise DimensionMismatch."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"n {a.n} != {b.n}")
+    lo = min(a.window[0], b.window[0])
+    hi = max(a.window[1], b.window[1])
+    return (lo, hi), a.cells(lo, hi), b.cells(lo, hi)
+
+
+def _cleared(values):
+    """(ints, den): the given ints or Fractions as int numerators over their
+    least common denominator den > 0."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def chi_eval(t, j):
@@ -258,11 +276,7 @@ def combine(a, b, coeff=1, nonneg=False):
             raise DimensionMismatch(f"vars {a.vars} != {b.vars}")
         merged, b_cells = dict(a.entries), b.entries
     elif isinstance(a, CohomologyTable) and isinstance(b, CohomologyTable):
-        if a.n != b.n:
-            raise DimensionMismatch(f"n {a.n} != {b.n}")
-        lo = min(a.window[0], b.window[0])
-        hi = max(a.window[1], b.window[1])
-        merged, b_cells = a.cells(lo, hi), b.cells(lo, hi)
+        window, merged, b_cells = _union_cells(a, b)
     else:
         raise DimensionMismatch("cannot combine a Betti table with a cohomology table")
     for key, v in sorted(b_cells.items()):
@@ -276,7 +290,7 @@ def combine(a, b, coeff=1, nonneg=False):
     if isinstance(a, BettiTable):
         return BettiTable._trusted(a.vars, merged)
     chi = tuple(x + coeff * y for x, y in zip(a.chi, b.chi))
-    return CohomologyTable._trusted(a.n, (lo, hi), merged, chi)
+    return CohomologyTable._trusted(a.n, window, merged, chi)
 
 
 def first_twists(t):
@@ -311,15 +325,16 @@ def subtract_checked(a, b):
 
 
 def validate(t):
-    """Check every type invariant; returns the (possibly empty) violation list."""
+    """Check every type invariant; returns the (possibly empty) violation
+    list.  A cohomology table may be given as its ``Numerators`` instead."""
     if isinstance(t, BettiTable):
         return [f"entry ({i}, {j}) = {v} is not positive"
                 for (i, j), v in sorted(t.entries.items()) if v <= 0]
 
     violations = []
-    n = t.n
-    lo, hi = t.window
-    w = Numerators(t)
+    w = t if isinstance(t, Numerators) else Numerators(t)
+    n = w.n
+    lo, hi = w.window
     alt = {}
     for (i, j), v in sorted(w.entries.items()):
         if v <= 0:
@@ -350,9 +365,8 @@ class Numerators:
 
     Values leave it as ``Fraction`` through ``fraction`` and ``table``.
     Unlike ``CohomologyTable`` it is mutable: ``subtract`` updates it in
-    place.  ``n``, ``entries`` (whose keys are the stored cells) and ``chi``
-    (zero exactly when the table's chi is) are all that ``first_twists`` and
-    ``corner_roots`` read, so they take either form.
+    place.  ``first_twists``, ``corner_roots`` and ``validate`` take either
+    form.
     """
 
     __slots__ = ("n", "window", "den", "entries", "chi")
@@ -360,11 +374,9 @@ class Numerators:
     def __init__(self, t):
         self.n = t.n
         self.window = t.window
-        self.den = den = lcm(*(v.denominator for v in t.entries.values()),
-                             *(c.denominator for c in t.chi))
-        self.entries = {key: v.numerator * (den // v.denominator)
-                        for key, v in t.entries.items()}
-        self.chi = [c.numerator * (den // c.denominator) for c in t.chi]
+        ints, self.den = _cleared([*t.entries.values(), *t.chi])
+        self.entries = dict(zip(t.entries, ints))
+        self.chi = ints[len(self.entries):]
 
     def copy(self):
         """An independent working copy: ``subtract`` on either one leaves

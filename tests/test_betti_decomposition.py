@@ -341,6 +341,23 @@ def test_decompose_subtracts_divides_and_compares_no_fraction(monkeypatch):
     assert [c for c, _ in normalized] == [c * d.values[0] for c, d in result]
 
 
+def test_decompose_checks_no_degree_sequence(monkeypatch):
+    # Each strand is strictly increasing and at most vars + 1 long by
+    # construction, so none goes through the checking constructor.
+    table, coeffs, seqs = six_hundred_term_chain()
+    checked = []
+    post_init = DegreeSequence.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+    monkeypatch.setattr(DegreeSequence, "__post_init__", counted)
+    result = decompose(table)
+    assert checked == []
+    monkeypatch.undo()
+    assert [(c, d.sequence) for c, d in result] == list(zip(coeffs, seqs))
+
+
 def strand_table(rng):
     """A degree sequence (its window shifted) and a table whose strand
     cells sit on or above a multiple of its pure diagram, then up to three

@@ -376,3 +376,22 @@ def test_inline_integers_follow_the_exchange_grammar(capsys, argv, token):
     # int() would take each of these tokens; the exchange grammar takes none
     argv = [arg.format(token) for arg in argv]
     assert run_cli(capsys, *argv) == (2, "", f"parse-error: line 0: bad integer {token!r}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["-e", "0", "-r", "1", "--p-max", "-1"], "e must be >= 1, got 0"),
+    (["-e", "2", "-r", "3", "--p-max", "-1"], "p must be >= 0, got -1"),
+    (["-e", "2", "-r", "3", "--p-max", "-1", "--tsv"], "p must be >= 0, got -1"),
+])
+def test_stillman_refuses_bad_parameters_with_a_negative_p_max(capsys, argv, err):
+    assert run_cli(capsys, "stillman", *argv) == (2, "", f"usage-error: {err}\n")
+
+
+def test_a_reversed_window_is_a_parse_error(capsys, tmp_path):
+    # The same text as for a table file whose window is reversed.
+    expected = (2, "", "parse-error: line 0: empty window (3, -6)\n")
+    assert run_cli(capsys, "supernatural", "-n", "2", "-f", "0,-3",
+                   "--window", "3,-6") == expected
+    path = tmp_path / "reversed.ct"
+    path.write_text("coh-table v1\nn 2\nwindow 3 -6\nchi 0 0 0\n")
+    assert run_cli(capsys, "validate", str(path)) == expected

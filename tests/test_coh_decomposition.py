@@ -492,3 +492,26 @@ def test_integral_multiples_build_no_supernatural_table(monkeypatch, tmp_path, c
     assert capsys.readouterr().out.splitlines() == [
         f"term 1 roots={f} multiple=1" for f in range(1, 800, 2)]
     assert calls == []
+
+
+def test_oracle_refuses_tables_off_p1():
+    with pytest.raises(ValueError, match="^oracle only applies on P\\^1, got n = 2$"):
+        p1_oracle(line_bundle_table(2, 0, (-4, 2)))
+
+
+@pytest.mark.parametrize("table", [rank3_bundle, split_table, tail_guard_table])
+def test_decompose_converts_to_numerators_once(monkeypatch, table):
+    # validate and the greedy share one working form.
+    g = table()
+    built = []
+    init = tables.Numerators.__init__
+
+    def counted(self, t):
+        built.append(t)
+        init(self, t)
+    monkeypatch.setattr(tables.Numerators, "__init__", counted)
+    try:
+        decompose_cohomology(g)
+    except NotInCone:
+        pass
+    assert built == [g]

@@ -337,3 +337,34 @@ def test_vertices_of_the_k3_triangle_take_no_fraction_arithmetic(monkeypatch):
     assert [tuple(v.get(key, 0) for key in support) for v in vertices] == [
         (0, 0, 0), (15, 15, 15), (15, 30, 15)]
     assert not any(counts.values())
+
+
+def test_enumerate_refuses_an_unknown_mode():
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    with pytest.raises(ValueError, match="^unknown mode 'diagonal'$"):
+        enumerate_patterns(a, b, mode="diagonal")
+
+
+def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
+    # The split table is converted to Numerators once and validated in that
+    # form; the greedy's root sequences are strictly decreasing by
+    # construction, so none goes through the checking constructor.
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    calls = {"Numerators": 0, "RootSequence": 0}
+    init = tables.Numerators.__init__
+    post_init = RootSequence.__post_init__
+
+    def counted_init(self, t):
+        calls["Numerators"] += 1
+        init(self, t)
+
+    def counted_post_init(self):
+        calls["RootSequence"] += 1
+        post_init(self)
+    monkeypatch.setattr(tables.Numerators, "__init__", counted_init)
+    monkeypatch.setattr(RootSequence, "__post_init__", counted_post_init)
+    decided = decide_patterns(a, b)
+    assert sum(table is not None for _, table in decided) == 55
+    assert calls == {"Numerators": 1, "RootSequence": 0}

@@ -59,6 +59,11 @@ def _commands():
                   "--symmetric", "--serre-shift", "-0", "--max-points", "0400"],
                  ["ext-polytope", "fixtures/p1_o_minus2_x5.ct", "fixtures/p1_o_plus2_x5.ct",
                   "--max-points", "007"]]
+    # Refusals: tables over different P^n, and malformed inline arguments.
+    commands += [["ext-polytope", "fixtures/p1_split.ct", "fixtures/p2_structure_sheaf.ct"],
+                 ["supernatural", "-n", "2", "-f", "1"],
+                 ["supernatural", "-n", "2", "-f", "0,-3", "--window", "1"],
+                 ["supernatural", "-n", "2", "-f", "0,-3", "--window", "1,2,3"]]
     return commands
 
 

@@ -95,3 +95,12 @@ def test_beta_one_closed_form():
                 diagram = stillman_diagram(StillmanParams(e, r, p))
                 assert diagram.values[1] == r
                 assert diagram.sequence.degrees[1] == e
+
+
+def test_scan_checks_its_parameters_when_no_member_is_asked_for():
+    with pytest.raises(ValueError, match=r"^e must be >= 1, got 0$"):
+        scan(0, 1, -1)
+    with pytest.raises(ValueError, match=r"^r must be >= 2, got 1$"):
+        scan(1, 1, -1)
+    with pytest.raises(ValueError, match=r"^p must be >= 0, got -1$"):
+        scan(2, 3, -1)

@@ -204,3 +204,32 @@ def test_first_twists_for_both_kinds():
     assert first_twists(BettiTable(3)) == {}
     sigma = supernatural_table(RootSequence(2, (0, -3)), 1, (-6, 3))
     assert first_twists(sigma) == {0: 1, 1: -2, 2: -6}
+
+
+def test_add_refuses_tables_over_different_projective_spaces():
+    with pytest.raises(DimensionMismatch, match=r"^n 1 != 2$"):
+        add_tables(line_bundle_table(1, 0, (0, 2)), line_bundle_table(2, 0, (0, 2)))
+
+
+def test_add_refuses_a_betti_table_with_a_cohomology_table():
+    with pytest.raises(DimensionMismatch,
+                       match="^cannot combine a Betti table with a cohomology table$"):
+        add_tables(xy2(), line_bundle_table(1, 0, (0, 2)))
+
+
+def test_chi_must_have_one_coefficient_per_row():
+    with pytest.raises(ValueError, match=r"^chi needs 2 coefficients, got 3$"):
+        CohomologyTable(1, (0, 1), {}, (1, 2, 3))
+
+
+def test_a_cohomology_table_never_equals_another_type():
+    table = line_bundle_table(1, 0, (0, 2))
+    assert (table == 3) is False
+    assert table != xy2()
+
+
+def test_table_reprs():
+    assert repr(BettiTable(2, {(1, 1): F(1, 2), (0, 0): 1})) == \
+        "BettiTable(vars=2, {(0,0): 1, (1,1): 1/2})"
+    assert repr(CohomologyTable(1, (0, 1), {(0, 1): F(2, 3), (0, 0): 1}, (1, F(1, 2)))) == \
+        "CohomologyTable(n=1, window=(0, 1), chi=['1', '1/2'], {(0,0): 1, (0,1): 2/3})"
