@@ -47,6 +47,9 @@ def _commands():
     commands += [["decompose", "fixtures/p1_split.ct"],
                  ["coh-decompose", "fixtures/pure_0134.bt"],
                  ["ext-polytope", "fixtures/pure_0134.bt", "fixtures/p1_split.ct"]]
+    # The first candidate already needs a wider window.
+    commands.append(["ext-polytope", "fixtures/p1_o_minus5_narrow.ct",
+                     "fixtures/p1_o_plus5_narrow.ct"])
     # Commands with inline arguments, some integers with signs or leading zeros.
     commands += [["stillman", "-e", "2", "-r", "3", "--p-max", "2"],
                  ["stillman", "-e", "2", "-r", "3", "--p-max", "2", "--tsv"],
