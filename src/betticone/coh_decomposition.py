@@ -22,12 +22,12 @@ def peel_supernatural(g, roots):
     """
     work = Numerators(g)
     q = _peel(work, roots)
-    return q, work.table()
+    return Fraction(*q), work.table()
 
 
 def _peel(work, roots, sigmas=None):
     """Subtract the largest multiple q of the unit supernatural table
-    sigma_roots from a valid working table in place, and return q.
+    sigma_roots from a valid working table in place, and return q as ints (n, d).
 
     ``sigmas``, when given, maps a root tuple to sigma's cells on the window
     and its chi coefficients, and a missing entry is built and kept there.
@@ -60,7 +60,7 @@ def _peel(work, roots, sigmas=None):
                 break
     if not c:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    q = Fraction(c * factorial(roots.n), work.den * p)
+    q = c * factorial(roots.n), work.den * p
     work.subtract(c, p, sigma, chi)
     problems = work.tail_violations()
     if problems:
@@ -79,7 +79,7 @@ def decompose_cohomology(g):
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
-    return _decompose(work)
+    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
 
 
 def decompose_valid(g):
@@ -87,17 +87,16 @@ def decompose_valid(g):
     (q > 0) zeroes its binding cell and adds none, so the loop ends; and no
     row's first twist moves down, so by ``corner_roots`` no root does: the
     roots form a chain without a check."""
-    return _decompose(Numerators(g))
+    work = Numerators(g)
+    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
 
 
 def _decompose(work, sigmas=None):
-    # decompose_valid's greedy on a working form, which it empties; sigmas
-    # as in _peel.
-    terms = []
+    # decompose_valid's greedy on a working form, which it empties: one
+    # (q as an int pair, roots) per peel; sigmas as in _peel.
     while not work.is_zero():
         roots = corner_roots(work)
-        terms.append((_peel(work, roots, sigmas), roots))
-    return CohDecomposition(tuple(terms))
+        yield _peel(work, roots, sigmas), roots
 
 
 def _running_sums(mult, twists):

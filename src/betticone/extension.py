@@ -81,11 +81,20 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
 
     ``mode`` is "full" (every integer point of the bound box) or
     "serre-symmetric" (ranks constant on twist pairs mirrored by the
-    involution (i, j) <-> (n-1-i, -n-1-j+shift)).  Enumerations larger than
-    ``budget`` raise BudgetExceeded before any work is done.
+    involution (i, j) <-> (n-1-i, -n-1-j+shift)); a nonzero ``serre_shift``
+    needs the latter.  Enumerations larger than ``budget`` raise
+    BudgetExceeded before any work is done.
     """
+    return list(_candidates(A, B, mode, budget, serre_shift))
+
+
+def _candidates(A, B, mode, budget, serre_shift):
+    # enumerate_patterns' patterns as a lazy stream.  Its checks run on the
+    # call, not on the first draw, so they still come before the caller's.
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
+    if serre_shift and mode == "full":
+        raise ValueError(f"serre_shift {serre_shift} needs mode 'serre-symmetric'")
     bounds = cancellation_bounds(A, B)
     support = sorted(bounds)
     caps = {key: floor(bounds[key]) for key in support}
@@ -99,15 +108,8 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     volume = prod(cap + 1 for _, cap in groups)
     if volume > budget:
         raise BudgetExceeded(f"{volume} candidate patterns exceed budget {budget}")
-    patterns = []
-    for values in product(*(range(cap + 1) for _, cap in groups)):
-        pattern = {}
-        for (orbit, _), v in zip(groups, values):
-            if v:
-                for key in orbit:
-                    pattern[key] = v
-        patterns.append(pattern)
-    return patterns
+    return ({key: v for (orbit, _), v in zip(groups, values) if v for key in orbit}
+            for values in product(*(range(cap + 1) for _, cap in groups)))
 
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
@@ -118,12 +120,12 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     Only the split table (the all-zero pattern's) is validated: a
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
-    tails alone, so every cancelled table is valid too.  The candidates are
-    cancelled and decided on the split table's ``Numerators``; all have its
-    window, so the unit tables' cells are built once per root sequence for
-    the whole call.  A table is built only for a candidate inside the cone.
+    tails alone, so every cancelled table is valid too.  Each candidate is
+    decided as it is drawn, on one copy of the split table's ``Numerators``
+    (all have its window, so sigma's cells are built once per root
+    sequence); one in the cone is cancelled again into its table.
     """
-    patterns = enumerate_patterns(A, B, mode, budget, serre_shift)
+    patterns = _candidates(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
     problems = validate(split)
     if problems:
@@ -131,13 +133,13 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     sigmas = {}
     decided = []
     for pattern in patterns:
-        work = _cancel(split, pattern)
         try:
-            _decompose(work.copy(), sigmas)
+            for _ in _decompose(_cancel(split, pattern), sigmas):
+                pass
         except NotInCone:
             decided.append((pattern, None))
         else:
-            decided.append((pattern, work.table()))
+            decided.append((pattern, _cancel(split, pattern).table()))
     return decided
 
 

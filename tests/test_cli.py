@@ -297,9 +297,20 @@ def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "ext-polytope", str(FIXTURES / "p1_o_minus2_x5.ct"),
                            str(FIXTURES / "p1_o_plus2_x5.ct"))
     assert code == 0 and out.count("\tY\t") == 55
+    # The candidates are enumerated at most once: decide_patterns draws them
+    # from a lazy stream, not from enumerate_patterns' list.
     bounds_calls = calls.pop("cancellation_bounds")
-    assert calls == {"enumerate_patterns": 1, "add_tables": 1, "validate": 1}
+    assert calls.pop("enumerate_patterns") <= 1
+    assert calls == {"add_tables": 1, "validate": 1}
     assert bounds_calls <= 2
+
+
+def test_a_serre_shift_without_symmetric_is_a_usage_error(capsys):
+    paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
+    assert run_cli(capsys, "ext-polytope", *paths, "--serre-shift", "3") == (
+        2, "", "usage-error: serre_shift 3 needs mode 'serre-symmetric'\n")
+    code, out, _ = run_cli(capsys, "ext-polytope", *paths, "--serre-shift", "-0")
+    assert (code, out) == run_cli(capsys, "ext-polytope", *paths)[:2]
 
 
 def test_outer_row_past_the_window_is_window_too_small(capsys):

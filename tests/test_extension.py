@@ -1,20 +1,22 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
 import betticone.tables as tables
-from betticone import (BoundViolation, BudgetExceeded, RootSequence,
-                       apply_cancellation, cancellation_bounds, chi_eval,
-                       enumerate_patterns, feasible_set, line_bundle_table,
-                       parse_table, polytope_vertices, scale,
-                       supernatural_table)
+from betticone import (BoundViolation, BudgetExceeded, InvalidTable, NotInCone,
+                       RootSequence, WindowTooSmall, add_tables, apply_cancellation,
+                       cancellation_bounds, chi_eval, enumerate_patterns,
+                       feasible_set, line_bundle_table, p1_oracle, parse_table,
+                       polytope_vertices, scale, supernatural_table)
 from betticone.extension import decide_patterns
+from betticone.supernatural import CohDecomposition
 from helpers import _in_hull, random_point_set, reference_polytope_vertices
 from helpers import caratheodory_inside, caratheodory_vertices
 from helpers import reference_separate
@@ -368,3 +370,110 @@ def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
     decided = decide_patterns(a, b)
     assert sum(table is not None for _, table in decided) == 55
     assert calls == {"Numerators": 1, "RootSequence": 0}
+
+
+def test_an_early_refusal_draws_one_candidate(monkeypatch):
+    # The first candidate's greedy already needs a wider window, so the
+    # call refuses before the other 14,399 candidates are enumerated.
+    a = line_bundle_table(1, -5, (-3, 3))
+    b = line_bundle_table(1, 5, (-3, 3))
+    drawn = []
+    product = extension.product
+
+    def counted(*ranges):
+        for values in product(*ranges):
+            drawn.append(values)
+            yield values
+    monkeypatch.setattr(extension, "product", counted)
+    with pytest.raises(WindowTooSmall, match=r"^window \[-3, 3\] must contain \[-5, -3\]$"):
+        decide_patterns(a, b)
+    assert len(drawn) == 1
+    assert len(enumerate_patterns(a, b)) == 14400
+
+
+def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
+        monkeypatch):
+    # One working copy per candidate, and a second one for each of the 55
+    # candidates in the cone, which becomes its table.
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    calls = {"copy": 0, "CohDecomposition": 0}
+    copy = tables.Numerators.copy
+    init = CohDecomposition.__init__
+
+    def counted_copy(self):
+        calls["copy"] += 1
+        return copy(self)
+
+    def counted_init(self, *args, **kwargs):
+        calls["CohDecomposition"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(tables.Numerators, "copy", counted_copy)
+    monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
+    decided = decide_patterns(a, b)
+    assert len(decided) == 396
+    assert sum(table is not None for _, table in decided) == 55
+    assert calls == {"copy": 396 + 55, "CohDecomposition": 0}
+
+
+def test_the_budget_is_checked_before_the_split_table():
+    # O(1) + O(6) on [-3, 3] is not a valid table (its left tail goes
+    # negative), but the candidate box is larger than the budget.
+    a = line_bundle_table(1, 1, (-3, 3))
+    b = line_bundle_table(1, 6, (-3, 3))
+    with pytest.raises(BudgetExceeded):
+        decide_patterns(a, b, budget=1)
+    with pytest.raises(InvalidTable):
+        decide_patterns(a, b)
+
+
+def test_a_serre_shift_needs_the_symmetric_mode():
+    a, b = pair()
+    message = "^serre_shift 3 needs mode 'serre-symmetric'$"
+    for run in (enumerate_patterns, decide_patterns, feasible_set):
+        with pytest.raises(ValueError, match=message):
+            run(a, b, serre_shift=3)
+        assert run(a, b, serre_shift=-0) == run(a, b)
+
+
+def _random_p1_extension(rng):
+    # A and B sums of 1-2 multiples of line bundles on one P^1 window, and a mode.
+    window = (rng.randint(-9, -3), rng.randint(2, 8))
+
+    def bundles():
+        return reduce(add_tables, [
+            scale(line_bundle_table(1, rng.randint(-4, 4), window), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))])
+    return bundles(), bundles(), rng.choice(["full", "serre-symmetric"])
+
+
+def _decided_or_none(a, b, mode):
+    try:
+        return decide_patterns(a, b, mode, budget=3000)
+    except (InvalidTable, WindowTooSmall, BudgetExceeded):
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_decided_patterns_match_the_p1_oracle(seed):
+    # The oracle reads second differences and runs no greedy.
+    a, b, mode = _random_p1_extension(random.Random(seed))
+    decided = _decided_or_none(a, b, mode)
+    assume(decided is not None)
+    for pattern, table in decided:
+        cancelled = apply_cancellation(a, b, pattern)
+        try:
+            p1_oracle(cancelled)
+        except NotInCone:
+            assert table is None, pattern
+        else:
+            assert table == cancelled, pattern
+
+
+def test_most_random_p1_extensions_are_decided():
+    # The oracle test above is not vacuous: most of its draws are decided.
+    draws = [_random_p1_extension(random.Random(seed)) for seed in range(40)]
+    decided = [_decided_or_none(*draw) for draw in draws]
+    assert sum(d is not None for d in decided) > len(draws) // 2
+    assert sum(len(d) for d in decided if d) > 1000
