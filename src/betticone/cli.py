@@ -5,9 +5,9 @@ statuses: 0 success, 1 domain errors (printed as ``code: detail``), 2 usage
 or parse errors.
 """
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 
 from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
@@ -18,27 +18,7 @@ from .exchange import (_int, parse_rational, parse_table, pretty_betti,
 from .extension import cancellation_bounds, decide_patterns, polytope_vertices
 from .stillman import scan
 from .supernatural import RootSequence, _integral_multiple, supernatural_table
-from .tables import BettiTable, CohomologyTable, validate
-
-# Flags whose values may start with a minus sign; they are glued to the flag
-# before argparse sees them, since bare "-6,3" looks like an option.
-_ABSORB = {"--window", "--roots", "-f", "--degrees", "-d", "--serre-shift"}
-
-
-def _absorb_negative_values(argv):
-    out = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _ABSORB and k + 1 < len(argv) and re.match(r"^-\d", argv[k + 1]):
-            nxt = argv[k + 1]
-            out.append(f"{tok}={nxt}" if tok.startswith("--") else tok + nxt)
-            skip = True
-        else:
-            out.append(tok)
-    return out
+from .tables import BettiTable, CohomologyTable, Numerators, validate
 
 
 def _load(path):
@@ -119,19 +99,8 @@ def _cmd_supernatural(args):
     roots = _parse_roots_arg(args.roots, args.n)
     window = _parse_window_arg(args.window) if args.window else None
     table = supernatural_table(roots, parse_rational(args.multiplicity), window)
-    if args.pretty:
-        print(pretty_cohomology(table), end="")
-    else:
-        print(serialize_table(table), end="")
+    print((pretty_cohomology if args.pretty else serialize_table)(table), end="")
     return 0
-
-
-def _oracle_terms(table):
-    # The P^1 oracle's terms, or None when it finds the table outside the cone.
-    try:
-        return tuple(p1_oracle(table).terms)
-    except NotInCone:
-        return None
 
 
 def _cmd_coh_decompose(args):
@@ -139,10 +108,14 @@ def _cmd_coh_decompose(args):
     if not isinstance(table, CohomologyTable):
         raise ParseError(0, "coh-decompose expects a cohomology table file")
     if args.check_oracle and table.n == 1:
-        # The oracle validates the table, so the greedy need not again.
-        expected = _oracle_terms(table)
+        # The oracle validates the working form, and the greedy then empties it.
+        work = Numerators(table)
         try:
-            result = decompose_valid(table)
+            expected = tuple(p1_oracle(work).terms)
+        except NotInCone:
+            expected = None
+        try:
+            result = decompose_valid(work)
         except NotInCone:
             if expected is not None:
                 raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
@@ -206,10 +179,8 @@ def _cmd_ext_polytope(args):
 
 def _cmd_pretty(args):
     table = _load(args.table)
-    if isinstance(table, BettiTable):
-        print(pretty_betti(table), end="")
-    else:
-        print(pretty_cohomology(table), end="")
+    pretty = pretty_betti if isinstance(table, BettiTable) else pretty_cohomology
+    print(pretty(table), end="")
     return 0
 
 
@@ -224,90 +195,119 @@ def _cmd_validate(args):
     return 1
 
 
-def _parser():
-    parser = argparse.ArgumentParser(
-        prog="betticone",
-        description="Exact decomposition of Betti and cohomology tables "
-                    "into extremal diagrams.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's handler, help line and arguments (names, dest, kind,
+# default, help): a positional has one name, without a leading "-"; kind is
+# _int or str for a value, None for a flag; a default of ... means required.
+_TABLE_FILE = ("table", "table", str, ..., "")
+_GRAMMAR = {
+    "pure": (_cmd_pure, "pure diagram of a degree sequence", [
+        ("-d --degrees", "degrees", str, ..., "degree sequence, e.g. 0,2,3,4 or 1:[1,3,4]"),
+        ("--vars", "vars", _int, ..., ""),
+        ("--integral", "integral", None, False,
+         "smallest integral multiple instead of first entry 1")]),
+    "decompose": (_cmd_decompose, "greedy chain decomposition of a Betti table", [
+        _TABLE_FILE, ("--normalized", "normalized", None, False,
+                 "report coefficients against first-entry-1 diagrams")]),
+    "member": (_cmd_member, "cone membership of a table file", [_TABLE_FILE]),
+    "supernatural": (_cmd_supernatural, "supernatural table from a root sequence", [
+        ("-n", "n", _int, ..., ""),
+        ("-f --roots", "roots", str, ..., "roots, e.g. 0,-3"),
+        ("-m --multiplicity", "multiplicity", str, "1", ""),
+        ("--window", "window", str, None, "lo,hi (default: smallest legal window)"),
+        ("--pretty", "pretty", None, False, "")]),
+    "coh-decompose": (_cmd_coh_decompose,
+                      "greedy supernatural decomposition of a cohomology table", [
+        _TABLE_FILE, ("--check-oracle", "check_oracle", None, False,
+                 "cross-check against the second-difference oracle on P^1"),
+        ("--integral", "integral", None, False,
+         "rescale terms to integral window entries")]),
+    "stillman": (_cmd_stillman, "virtual pure diagram family scan", [
+        ("-e", "e", _int, ..., ""), ("-r", "r", _int, ..., ""),
+        ("--p-max", "p_max", _int, ..., ""), ("--tsv", "tsv", None, False, "")]),
+    "ext-polytope": (_cmd_ext_polytope, "feasible cancellation patterns of an extension", [
+        ("A.ct", "a", str, ..., ""), ("B.ct", "b", str, ..., ""),
+        ("--symmetric", "symmetric", None, False, "restrict to Serre-symmetric patterns"),
+        ("--max-points", "max_points", _int, 10 ** 6, ""),
+        ("--serre-shift", "serre_shift", _int, 0, "")]),
+    "pretty": (_cmd_pretty, "human-readable grid for a table file", [_TABLE_FILE]),
+    "validate": (_cmd_validate, "check every table invariant", [_TABLE_FILE]),
+}
 
-    p = sub.add_parser("pure", help="pure diagram of a degree sequence")
-    p.add_argument("-d", "--degrees", required=True,
-                   help="degree sequence, e.g. 0,2,3,4 or 1:[1,3,4]")
-    p.add_argument("--vars", type=_int, required=True)
-    p.add_argument("--integral", action="store_true",
-                   help="smallest integral multiple instead of first entry 1")
-    p.set_defaults(handler=_cmd_pure)
 
-    p = sub.add_parser("decompose", help="greedy chain decomposition of a Betti table")
-    p.add_argument("table")
-    p.add_argument("--normalized", action="store_true",
-                   help="report coefficients against first-entry-1 diagrams")
-    p.set_defaults(handler=_cmd_decompose)
+def _synopsis(command=None):
+    """Help text for the CLI, or for one subcommand, from _GRAMMAR."""
+    head = ("usage: betticone [-h] <command> ...\n\nExact decomposition of Betti and "
+            "cohomology tables into extremal diagrams.\n\ncommands:")
+    rows = [(name, entry[1]) for name, entry in _GRAMMAR.items()]
+    if command:
+        words, rows = [], []
+        for names, dest, kind, default, text in _GRAMMAR[command][2]:
+            value = f" {dest.upper()}" if kind and names[0] == "-" else ""
+            word = names.split()[0] + value
+            words.append(word if default is ... else f"[{word}]")
+            rows.append((", ".join(names.split()) + value, text))
+        head = f"usage: betticone {command} [-h] {' '.join(words)}\n\narguments:"
+    width = max(len(label) for label, _ in rows)
+    return "\n".join([head] + [f"  {label:<{width}}  {text}".rstrip()
+                                for label, text in rows])
 
-    p = sub.add_parser("member", help="cone membership of a table file")
-    p.add_argument("table")
-    p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("supernatural", help="supernatural table from a root sequence")
-    p.add_argument("-n", type=_int, required=True)
-    p.add_argument("-f", "--roots", required=True, help="roots, e.g. 0,-3")
-    p.add_argument("-m", "--multiplicity", default="1")
-    p.add_argument("--window", help="lo,hi (default: smallest legal window)")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(handler=_cmd_supernatural)
-
-    p = sub.add_parser("coh-decompose",
-                       help="greedy supernatural decomposition of a cohomology table")
-    p.add_argument("table")
-    p.add_argument("--check-oracle", action="store_true",
-                   help="cross-check against the second-difference oracle on P^1")
-    p.add_argument("--integral", action="store_true",
-                   help="rescale terms to integral window entries")
-    p.set_defaults(handler=_cmd_coh_decompose)
-
-    p = sub.add_parser("stillman", help="virtual pure diagram family scan")
-    p.add_argument("-e", type=_int, required=True)
-    p.add_argument("-r", type=_int, required=True)
-    p.add_argument("--p-max", type=_int, required=True)
-    p.add_argument("--tsv", action="store_true")
-    p.set_defaults(handler=_cmd_stillman)
-
-    p = sub.add_parser("ext-polytope",
-                       help="feasible cancellation patterns of an extension")
-    p.add_argument("a", metavar="A.ct")
-    p.add_argument("b", metavar="B.ct")
-    p.add_argument("--symmetric", action="store_true",
-                   help="restrict to Serre-symmetric patterns")
-    p.add_argument("--max-points", type=_int, default=10 ** 6)
-    p.add_argument("--serre-shift", type=_int, default=0)
-    p.set_defaults(handler=_cmd_ext_polytope)
-
-    p = sub.add_parser("pretty", help="human-readable grid for a table file")
-    p.add_argument("table")
-    p.set_defaults(handler=_cmd_pretty)
-
-    p = sub.add_parser("validate", help="check every table invariant")
-    p.add_argument("table")
-    p.set_defaults(handler=_cmd_validate)
-
-    return parser
+def _parse(argv):
+    """The handler's arguments from argv, with the handler itself as
+    ``handler``, or None once help is printed; a grammar error raises
+    ValueError.  See the README's "Command line" for the accepted forms."""
+    command, *tokens = argv or [None]
+    if command in ("-h", "--help"):
+        return print(_synopsis())
+    if command not in _GRAMMAR:
+        raise ValueError((f"unknown command {command!r}" if command else "missing command")
+                         + f", expected one of {', '.join(_GRAMMAR)}")
+    handler, _, spec = _GRAMMAR[command]
+    values = {"command": command, "handler": handler}
+    values.update((dest, default) for _, dest, _, default, _ in spec)
+    options = {name: (dest, kind) for names, dest, kind, *_ in spec
+               for name in names.split() if name[0] == "-"}
+    positionals = [dest for names, dest, *_ in spec if names[0] != "-"]
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return print(_synopsis(command))
+        if not token.startswith("-"):
+            if not positionals:
+                raise ValueError(f"unexpected argument {token!r} for {command}")
+            values[positionals.pop(0)] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options and not token.startswith("--") and token[:2] in options:
+            name, eq, value = token[:2], "=", token[2:]  # -fVALUE
+        if name not in options:
+            raise ValueError(f"unknown option {name!r} for {command}")
+        dest, kind = options[name]
+        if kind is None and eq:
+            raise ValueError(f"option {name} takes no value")
+        if kind and not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"option {name} needs a value")
+        values[dest] = kind(value) if kind else True
+    missing = ["/".join(names.split()) for names, dest, *_ in spec if values[dest] is ...]
+    if missing:
+        raise ValueError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(_absorb_negative_values(argv))
-        return args.handler(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _parse(argv)
+        return args.handler(args) if args else 0
     except ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return 2
     except BettiConeError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # constructor preconditions on inline arguments
+    except ValueError as exc:  # grammar errors, preconditions on inline arguments
         print(f"usage-error: {exc}", file=sys.stderr)
         return 2
 

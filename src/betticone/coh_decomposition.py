@@ -82,12 +82,11 @@ def decompose_cohomology(g):
     return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
 
 
-def decompose_valid(g):
-    """``decompose_cohomology`` for a table known to be valid.  Each peel
-    (q > 0) zeroes its binding cell and adds none, so the loop ends; and no
-    row's first twist moves down, so by ``corner_roots`` no root does: the
-    roots form a chain without a check."""
-    work = Numerators(g)
+def decompose_valid(work):
+    """``decompose_cohomology`` for the ``Numerators`` of a table known to be
+    valid, which it empties.  Each peel (q > 0) zeroes its binding cell and
+    adds none, so the loop ends; and no row's first twist moves down, so by
+    ``corner_roots`` no root does: the roots form a chain without a check."""
     return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
 
 
@@ -116,13 +115,16 @@ def p1_oracle(g):
     at f.  Any negative second difference, or a reconstruction mismatch,
     means the table is outside the cone.  The rebuild shares no code with the
     greedy: rows 0 and 1 are running sums of m_f (j - f) over f < j and of
-    m_f (f - j) over f > j, and chi = (-sum m_f f, sum m_f).
+    m_f (f - j) over f > j, and chi = (-sum m_f f, sum m_f).  g may be given
+    as its ``Numerators``, which is left as it is.
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
     problems = validate(g)
     if problems:
         raise InvalidTable(problems)
+    if isinstance(g, Numerators):
+        g = g.table()
     lo, hi = g.window
     cells = g.cells(lo - 1, hi + 1)
 

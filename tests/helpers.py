@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles, dense reference arithmetic and
 random table generators."""
 
+import argparse
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -10,7 +12,9 @@ from betticone import (BettiDecomposition, BettiTable, CohomologyTable,
                        RootSequence, StrandNotIncreasing, TailGuardFailure,
                        add_tables, corner_roots, is_chain, normalized_diagram,
                        scale, smallest_integral, supernatural_table, validate)
+from betticone import cli
 from betticone.diagrams import integral_scale
+from betticone.exchange import _int
 from betticone.extension import _separate
 from betticone.supernatural import CohDecomposition, chi_from_roots
 from betticone.tables import combine, first_twists
@@ -495,3 +499,102 @@ def reference_decompose(b, normalized=False):
                 raise StrandNotIncreasing(step, truncations[step - 1], detail)
             raise NotInCone(step, detail)
     return BettiDecomposition(tuple(terms))
+
+
+# Flags whose values may start with a minus sign; they are glued to the flag
+# before argparse sees them, since bare "-6,3" looks like an option.
+_ABSORB = {"--window", "--roots", "-f", "--degrees", "-d", "--serre-shift"}
+
+
+def _absorb_negative_values(argv):
+    out = []
+    skip = False
+    for k, tok in enumerate(argv):
+        if skip:
+            skip = False
+            continue
+        if tok in _ABSORB and k + 1 < len(argv) and re.match(r"^-\d", argv[k + 1]):
+            nxt = argv[k + 1]
+            out.append(f"{tok}={nxt}" if tok.startswith("--") else tok + nxt)
+            skip = True
+        else:
+            out.append(tok)
+    return out
+
+
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="betticone",
+        description="Exact decomposition of Betti and cohomology tables "
+                    "into extremal diagrams.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("pure", help="pure diagram of a degree sequence")
+    p.add_argument("-d", "--degrees", required=True,
+                   help="degree sequence, e.g. 0,2,3,4 or 1:[1,3,4]")
+    p.add_argument("--vars", type=_int, required=True)
+    p.add_argument("--integral", action="store_true",
+                   help="smallest integral multiple instead of first entry 1")
+    p.set_defaults(handler=cli._cmd_pure)
+
+    p = sub.add_parser("decompose", help="greedy chain decomposition of a Betti table")
+    p.add_argument("table")
+    p.add_argument("--normalized", action="store_true",
+                   help="report coefficients against first-entry-1 diagrams")
+    p.set_defaults(handler=cli._cmd_decompose)
+
+    p = sub.add_parser("member", help="cone membership of a table file")
+    p.add_argument("table")
+    p.set_defaults(handler=cli._cmd_member)
+
+    p = sub.add_parser("supernatural", help="supernatural table from a root sequence")
+    p.add_argument("-n", type=_int, required=True)
+    p.add_argument("-f", "--roots", required=True, help="roots, e.g. 0,-3")
+    p.add_argument("-m", "--multiplicity", default="1")
+    p.add_argument("--window", help="lo,hi (default: smallest legal window)")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(handler=cli._cmd_supernatural)
+
+    p = sub.add_parser("coh-decompose",
+                       help="greedy supernatural decomposition of a cohomology table")
+    p.add_argument("table")
+    p.add_argument("--check-oracle", action="store_true",
+                   help="cross-check against the second-difference oracle on P^1")
+    p.add_argument("--integral", action="store_true",
+                   help="rescale terms to integral window entries")
+    p.set_defaults(handler=cli._cmd_coh_decompose)
+
+    p = sub.add_parser("stillman", help="virtual pure diagram family scan")
+    p.add_argument("-e", type=_int, required=True)
+    p.add_argument("-r", type=_int, required=True)
+    p.add_argument("--p-max", type=_int, required=True)
+    p.add_argument("--tsv", action="store_true")
+    p.set_defaults(handler=cli._cmd_stillman)
+
+    p = sub.add_parser("ext-polytope",
+                       help="feasible cancellation patterns of an extension")
+    p.add_argument("a", metavar="A.ct")
+    p.add_argument("b", metavar="B.ct")
+    p.add_argument("--symmetric", action="store_true",
+                   help="restrict to Serre-symmetric patterns")
+    p.add_argument("--max-points", type=_int, default=10 ** 6)
+    p.add_argument("--serre-shift", type=_int, default=0)
+    p.set_defaults(handler=cli._cmd_ext_polytope)
+
+    p = sub.add_parser("pretty", help="human-readable grid for a table file")
+    p.add_argument("table")
+    p.set_defaults(handler=cli._cmd_pretty)
+
+    p = sub.add_parser("validate", help="check every table invariant")
+    p.add_argument("table")
+    p.set_defaults(handler=cli._cmd_validate)
+
+    return parser
+
+
+def reference_parse(argv):
+    """The CLI's argument parsing before its grammar table: an argparse
+    parser with a minus-sign pre-pass for the listed flags.  Returns the
+    ``argparse.Namespace``; a refusal raises ``SystemExit`` (after argparse
+    prints its message) or, for a bad integer, ``ParseError``."""
+    return _parser().parse_args(_absorb_negative_values(list(argv)))

@@ -1,16 +1,22 @@
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 import betticone.cli as cli
 import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
+import betticone.tables as tables
 from betticone import CohomologyTable, line_bundle_table, serialize_table, validate
 from betticone.cli import main
-from betticone.errors import NotInCone
+from betticone.errors import NotInCone, ParseError
 from betticone.supernatural import CohDecomposition
+from helpers import reference_parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -406,3 +412,98 @@ def test_a_reversed_window_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "reversed.ct"
     path.write_text("coh-table v1\nn 2\nwindow 3 -6\nchi 0 0 0\n")
     assert run_cli(capsys, "validate", str(path)) == expected
+
+
+def test_check_oracle_converts_the_table_once(monkeypatch, capsys):
+    builds = []
+    original = tables.Numerators.__init__
+
+    def counted(self, t):
+        builds.append(t)
+        original(self, t)
+    monkeypatch.setattr(tables.Numerators, "__init__", counted)
+    assert run_cli(capsys, "coh-decompose", str(FIXTURES / "p1_split.ct"),
+                   "--check-oracle") == (0, "term 5 roots=-3\nterm 5 roots=1\n", "")
+    assert len(builds) == 1
+
+
+_INTEGER = st.builds(lambda sign, zeros, n: sign + "0" * zeros + str(n),
+                     st.sampled_from(["", "-"]), st.integers(0, 2), st.integers(0, 99))
+# A value of a string option: an integer list, maybe in the k:[...] form, or
+# a token that starts with "-" without being a number.
+_TEXT = st.one_of(st.lists(_INTEGER, min_size=1, max_size=3).map(",".join),
+                  st.builds("{}:[{}]".format, _INTEGER, _INTEGER),
+                  st.sampled_from(["3/2", "-x", "-1,-2"]))
+
+
+@st.composite
+def _argv(draw):
+    """An argv for a random subcommand in shuffled order and mixed forms,
+    sometimes with one fault; and whether some value token starts with "-"
+    without being a number."""
+    command = draw(st.sampled_from(sorted(cli._GRAMMAR)))
+    groups, dash_value = [], False
+    for names, dest, kind, default, _ in cli._GRAMMAR[command][2]:
+        if default is not ... and draw(st.booleans()):
+            continue
+        if names[0] != "-":
+            groups.append([draw(st.sampled_from(["fixtures/xy2.bt", "t.ct"]))])
+            continue
+        name = draw(st.sampled_from(names.split()))
+        if kind is None:
+            groups.append([name])
+            continue
+        value = draw(_INTEGER if kind is cli._int else _TEXT)
+        forms = [[name, value], [f"{name}={value}"]]
+        if not name.startswith("--"):
+            forms.append([name + value])
+        groups.append(draw(st.sampled_from(forms)))
+        dash_value |= len(groups[-1]) == 2 and value[0] == "-" and not value[1:].isdigit()
+    groups = draw(st.permutations(groups))
+    fault = draw(st.sampled_from([None] * 4 + ["drop", "unknown", "extra", "no value",
+                                               "flag value"]))
+    if fault == "drop" and groups:
+        groups.pop()
+    elif fault == "unknown":
+        groups.append([draw(st.sampled_from(["--frobnicate", "-z"]))])
+    elif fault == "extra":
+        groups.append(["extra.bt"])
+    elif fault == "no value":
+        groups.append([draw(st.sampled_from(["--window", "--max-points", "-n", "-e"]))])
+    elif fault == "flag value":
+        groups.append(["--integral=1"])
+    return [command] + [token for group in groups for token in group], dash_value
+
+
+def _parsed(parse, argv):
+    # The parsed arguments as a dict, or None for a refusal.
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except (SystemExit, ParseError, ValueError):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_the_grammar_agrees_with_the_argparse_reference(case):
+    argv, dash_value = case
+    new, reference = _parsed(cli._parse, argv), _parsed(reference_parse, argv)
+    if new is None:
+        assert reference is None
+    elif reference is not None:
+        assert new == reference
+    else:  # a value that starts with "-" is taken, where argparse refused it
+        assert dash_value
+
+
+def test_the_argv_strategy_draws_accepted_and_refused_argvs():
+    for accepted in (True, False):
+        find(_argv(), lambda case: (_parsed(cli._parse, case[0]) is not None) == accepted)
+
+
+@pytest.mark.parametrize("argv", [["decompose", "fixtures/xy2.bt", "--norm"],
+                                  ["decompose", "--", "fixtures/xy2.bt"]])
+def test_the_grammar_takes_no_abbreviation_and_no_double_dash(argv):
+    assert _parsed(reference_parse, argv) is not None
+    assert _parsed(cli._parse, argv) is None

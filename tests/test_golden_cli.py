@@ -67,6 +67,21 @@ def _commands():
                  ["supernatural", "-n", "2", "-f", "1"],
                  ["supernatural", "-n", "2", "-f", "0,-3", "--window", "1"],
                  ["supernatural", "-n", "2", "-f", "0,-3", "--window", "1,2,3"]]
+    # Help, before or after the subcommand, and the grammar's refusals: no
+    # command, an unknown command or option, a missing value or required
+    # option, an extra positional, an abbreviation, "--", and a value that
+    # starts with "-" without being a number (taken as the value).
+    commands += [["--help"], ["-h"]]
+    commands += [[sub, "--help"] for sub in ("pure", "decompose", "member", "supernatural",
+                                             "coh-decompose", "stillman", "ext-polytope",
+                                             "pretty", "validate")]
+    commands += [["stillman", "-e", "2", "-h"], [], ["frobnicate"],
+                 ["decompose", "fixtures/xy2.bt", "--frobnicate"],
+                 ["pure", "--vars", "1", "-d"], ["pure", "-d", "0,1"],
+                 ["member", "fixtures/xy2.bt", "fixtures/noncm.bt"],
+                 ["decompose", "fixtures/xy2.bt", "--norm"],
+                 ["decompose", "--", "fixtures/xy2.bt"],
+                 ["supernatural", "-n", "1", "-f", "0", "-m", "-x"]]
     return commands
 
 

@@ -23,6 +23,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+    # A whole run parses its arguments without argparse and what it imports.
+    code = ("import sys; from betticone.cli import main; "
+            "main(['pure', '-d', '0,1', '--vars', '1']); print(sorted("
+            "{'argparse', 'gettext', 'locale', 'shutil', 'dataclasses', 'inspect'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "diagram window=0 degrees=0,1 values=1,1\n[]\n"
 
 
 def test_repr_lists_every_field():
