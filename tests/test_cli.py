@@ -462,7 +462,7 @@ def _argv(draw):
     groups = draw(st.permutations(groups))
     fault = draw(st.sampled_from([None] * 4 + ["drop", "unknown", "extra", "no value",
                                                "flag value"]))
-    if fault == "drop" and groups:
+    if fault == "drop":
         groups.pop()
     elif fault == "unknown":
         groups.append([draw(st.sampled_from(["--frobnicate", "-z"]))])
