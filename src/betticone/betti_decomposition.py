@@ -8,12 +8,12 @@ exactly when this empties the table along a chain of degree sequences.
 The greedy works on ints: each cell's value is held as a reduced
 (numerator, positive denominator) pair, and a peel reads and rewrites the
 strand's cells only, with one gcd per cell, so it costs O(strand) whatever
-the table's support.  Only each term's coefficient and diagram leave it as
-``Fraction``.
+the table's support.  Column minima come from one stack of degrees per
+column, smallest on top, which each peel pops where it zeroed a cell.  Only
+each term's coefficient and diagram leave it as ``Fraction``.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop
 from math import gcd
 
 from .coh_decomposition import decompose_cohomology
@@ -120,21 +120,6 @@ def _peel(work, seq, w):
     return n, d
 
 
-def _minima(work, columns):
-    # Smallest stored degree of every nonempty column.  Each column keeps a
-    # min-heap of its degrees; a degree whose cell was peeled away is
-    # dropped when it reaches the top.
-    minima = {}
-    for i, heap in list(columns.items()):
-        while heap and (i, heap[0]) not in work:
-            heappop(heap)
-        if heap:
-            minima[i] = heap[0]
-        else:
-            del columns[i]
-    return minima
-
-
 def decompose(b, normalized=False):
     """Write ``b`` as a positive rational chain combination of pure diagrams.
 
@@ -142,21 +127,21 @@ def decompose(b, normalized=False):
     ``normalized`` asks for first-entry-1 diagrams.  Raises NotInCone (or its
     StrandNotIncreasing refinement) when the strands fail to form a chain.
     Each peel (q > 0) zeroes its binding cell and adds none, so the loop
-    ends, and the column heaps never need a degree added.  The greedy peels
-    the integral diagram w; the normalized one is w / w_0, with coefficient
+    ends.  A peel rewrites strand cells only, and every strand degree is its
+    column's minimum, so each column keeps its degrees as a stack, largest
+    first, whose top is popped when a peel drops it.  The greedy peels the
+    integral diagram w; the normalized one is w / w_0, with coefficient
     q w_0.
     """
     terms = []
-    seqs = []
-    truncations = []
+    strands = []
     work = _pairs(b)
     columns = {}
-    for i, d in work:
+    for i, d in sorted(work, reverse=True):
         columns.setdefault(i, []).append(d)
-    for heap in columns.values():
-        heapify(heap)
+    minima = {i: stack[-1] for i, stack in columns.items()}
     while work:
-        seq, truncated_at = _strand_info(_minima(work, columns), b.vars)
+        seq, truncated_at = _strand_info(minima, b.vars)
         D = _gap_products(seq.degrees)
         w = _integral_values(D)
         n, d = _peel(work, seq, w)
@@ -164,13 +149,20 @@ def decompose(b, normalized=False):
             terms.append((Fraction(n * w[0], d), _normalized(seq, D)))
         else:
             terms.append((Fraction(n, d), _integral(seq, w)))
-        seqs.append(seq)
-        truncations.append(truncated_at)
-    for step, (d, e) in enumerate(zip(seqs, seqs[1:]), start=1):
+        strands.append((seq, truncated_at))
+        for i in range(seq.start, seq.start + len(seq.degrees)):
+            if (i, minima[i]) not in work:
+                stack = columns[i]
+                stack.pop()
+                if stack:
+                    minima[i] = stack[-1]
+                else:
+                    del columns[i], minima[i]
+    for step, ((d, truncated_at), (e, _)) in enumerate(zip(strands, strands[1:]), start=1):
         if not is_chain([d, e]):
             detail = f"strands {d} and {e} are not comparable"
-            if truncations[step - 1] is not None:
-                raise StrandNotIncreasing(step, truncations[step - 1], detail)
+            if truncated_at is not None:
+                raise StrandNotIncreasing(step, truncated_at, detail)
             raise NotInCone(step, detail)
     return BettiDecomposition(tuple(terms))
 

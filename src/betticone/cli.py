@@ -1,10 +1,11 @@
 """Command-line front end.
 
-One subcommand per operation family, deterministic stdout, and three exit
+One subcommand per operation family, deterministic stdout, and four exit
 statuses: 0 success, 1 domain errors (printed as ``code: detail``), 2 usage
-or parse errors.
+or parse errors, 141 (128 + SIGPIPE) when stdout's reader has gone.
 """
 
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -300,7 +301,13 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        return args.handler(args) if args else 0
+        status = args.handler(args) if args else 0
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # keep the interpreter's exit flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return 2

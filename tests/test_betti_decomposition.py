@@ -358,6 +358,58 @@ def test_decompose_checks_no_degree_sequence(monkeypatch):
     assert [(c, d.sequence) for c, d in result] == list(zip(coeffs, seqs))
 
 
+def recorded_drops(b):
+    """``decompose(b)`` with ``_peel`` wrapped: its outcome, and for each
+    peel the cells it dropped and those cells' columns' minima before it."""
+    original = betti_decomposition._peel
+    drops = []
+
+    def recording(work, seq, w):
+        minima = {}
+        for i, d in work:
+            minima[i] = min(d, minima.get(i, d))
+        before = set(work)
+        result = original(work, seq, w)
+        dropped = sorted(before - set(work))
+        drops.append((dropped, [(i, minima[i]) for i, _ in dropped]))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_decomposition, "_peel", recording)
+        outcome = betti_outcome(b, decompose, False)
+    return outcome, drops
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_every_cell_a_peel_drops_was_its_column_minimum(seed):
+    # decompose pops a column's stack only where the peel dropped its top
+    _, drops = recorded_drops(random_betti_input(random.Random(seed)))
+    for dropped, minima in drops:
+        assert dropped and dropped == minima
+
+
+def test_the_long_chain_peels_drop_column_minima_only():
+    table, coeffs, seqs = six_hundred_term_chain()
+    outcome, drops = recorded_drops(table)
+    assert [(c, s) for c, s, _ in outcome] == list(zip(coeffs, seqs))
+    assert len(drops) == 600
+    assert all(dropped and dropped == minima for dropped, minima in drops)
+
+
+def test_one_peel_can_empty_two_columns_down_to_their_next_degree():
+    # (0,1,2) and (0,2,4) both have integral values 1,2,1: the first peel
+    # drops (1,1) and (2,2) together, leaving columns 1 and 2 at 2 and 4
+    low, high = DegreeSequence(0, (0, 1, 2), 2), DegreeSequence(0, (0, 2, 4), 2)
+    entries = {}
+    for seq in (low, high):
+        for key, v in smallest_integral(normalized_diagram(seq)).table().entries.items():
+            entries[key] = entries.get(key, 0) + v
+    outcome, drops = recorded_drops(BettiTable(2, entries))
+    assert [dropped for dropped, _ in drops] == [[(1, 1), (2, 2)], [(0, 0), (1, 2), (2, 4)]]
+    assert [(c, s) for c, s, _ in outcome] == [(1, low), (1, high)]
+
+
 def strand_table(rng):
     """A degree sequence (its window shifted) and a table whose strand
     cells sit on or above a multiple of its pure diagram, then up to three

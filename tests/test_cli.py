@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,23 @@ def test_cli_runs_as_module():
     assert result.returncode == 0
     assert result.stdout == ("term 1/3 window=0 degrees=0,2,3,4 values=1,6,8,3\n"
                              "term 2/3 window=0 degrees=0,2,3 values=1,3,2\n")
+
+
+@pytest.mark.parametrize("argv", [["stillman", "-e", "2", "-r", "3", "--p-max", "5"],
+                                  ["--help"]])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_with_the_sigpipe_status_and_no_traceback(argv, unbuffered):
+    # buffered, the closed reader shows at the final flush; unbuffered, at
+    # the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "betticone", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
 
 
 def test_deterministic_output(capsys):
