@@ -3,7 +3,7 @@
 Mirrors the Betti-side greedy: read the staircase corners, subtract the
 largest multiple of the matching unit supernatural table that keeps the
 window nonnegative and the tails sound, and repeat.  A closed-form second
-difference oracle on P^1 cross-checks the whole pipeline.
+difference oracle on P^1, on int numerators, cross-checks the whole pipeline.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ from math import factorial
 from .errors import InvalidTable, NotInCone, TailGuardFailure
 from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window,
                            chi_from_roots, corner_roots)
-from .tables import CohomologyTable, Numerators, validate
+from .tables import Numerators, validate
 
 
 def peel_supernatural(g, roots):
@@ -64,7 +64,7 @@ def _peel(work, roots, sigmas=None):
     work.subtract(c, p, sigma, chi)
     problems = work.tail_violations()
     if problems:
-        raise TailGuardFailure("; ".join(problems))
+        raise TailGuardFailure(0, "; ".join(problems))
     return q
 
 
@@ -72,14 +72,20 @@ def decompose_cohomology(g):
     """Write a valid table as a chain combination of unit supernatural tables.
 
     Raises NotInCone (NotStaircase / TailGuardFailure refine it) when the
-    greedy cannot empty the window, and WindowTooSmall when a corner sits too
-    close to the window edge to peel safely.
+    greedy cannot empty the window, its step being the number of peels done
+    before it, and WindowTooSmall when a corner sits too close to the window
+    edge to peel safely.
     """
-    work = Numerators(g)
+    return decompose_valid(_valid(g))
+
+
+def _valid(g):
+    # The Numerators of g (g itself when it is one), refused when invalid.
+    work = g if isinstance(g, Numerators) else Numerators(g)
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
-    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
+    return work
 
 
 def decompose_valid(work):
@@ -92,56 +98,49 @@ def decompose_valid(work):
 
 def _decompose(work, sigmas=None):
     # decompose_valid's greedy on a working form, which it empties: one
-    # (q as an int pair, roots) per peel; sigmas as in _peel.
-    while not work.is_zero():
-        roots = corner_roots(work)
-        yield _peel(work, roots, sigmas), roots
-
-
-def _running_sums(mult, twists):
-    # (j, sum of m_f |j - f| over the f already passed) along twists.
-    row = mass = 0
-    for j in twists:
-        yield j, row
-        mass += mult.get(j, 0)
-        row += mass
+    # (q as an int pair, roots) per peel; sigmas as in _peel.  A refusal
+    # is renumbered with the count of peels done before it.
+    step = 0
+    try:
+        while not work.is_zero():
+            roots = corner_roots(work)
+            yield _peel(work, roots, sigmas), roots
+            step += 1
+    except NotInCone as exc:
+        raise type(exc)(step, exc.detail) from None
 
 
 def p1_oracle(g):
-    """Independent P^1 decomposition via second differences.
+    """Independent P^1 decomposition via second differences, on ints.
 
     With T(j) = gamma_0(j) + gamma_1(j) (tails included), a table in the cone
     satisfies T = sum m_f |j - f|, so m_f is half the second difference of T
-    at f.  Any negative second difference, or a reconstruction mismatch,
-    means the table is outside the cone.  The rebuild shares no code with the
-    greedy: rows 0 and 1 are running sums of m_f (j - f) over f < j and of
-    m_f (f - j) over f > j, and chi = (-sum m_f f, sum m_f).  g may be given
-    as its ``Numerators``, which is left as it is.
+    at f.  Any negative second difference, or an Euler polynomial other than
+    sum m_f (x - f), means the table is outside the cone.  The check shares
+    no code with the greedy.  g may be given as its ``Numerators``, which is
+    left as it is.
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
-    problems = validate(g)
-    if problems:
-        raise InvalidTable(problems)
-    if isinstance(g, Numerators):
-        g = g.table()
-    lo, hi = g.window
-    cells = g.cells(lo - 1, hi + 1)
+    w = _valid(g)
+    lo, hi = w.window
 
-    def T(j):
-        return cells.get((0, j), 0) + cells.get((1, j), 0)
+    def T(j):  # numerator of T(j)
+        if lo <= j <= hi:
+            return w.entries.get((0, j), 0) + w.entries.get((1, j), 0)
+        return w.chi_at(j) if j > hi else -w.chi_at(j)
 
-    mult = {}
+    mult = {}  # f -> 2 * den * m_f
     for f in range(lo, hi + 1):
-        m = Fraction(T(f + 1) - 2 * T(f) + T(f - 1), 2)
+        m = T(f + 1) - 2 * T(f) + T(f - 1)
         if m < 0:
-            raise NotInCone(0, f"negative second difference {2 * m} at j = {f}")
+            raise NotInCone(0, f"negative second difference {w.fraction(m)} at j = {f}")
         if m > 0:
             mult[f] = m
-    twists = range(lo - 1, hi + 2)
-    entries = {(0, j): v for j, v in _running_sums(mult, twists) if v}
-    entries.update({(1, j): v for j, v in _running_sums(mult, reversed(twists)) if v})
-    chi = (-sum(m * f for f, m in mult.items()), sum(mult.values()))
-    if CohomologyTable(1, (lo - 1, hi + 1), entries, chi) != g:
+    # S = sum m_f |j - f| has T's second differences on the window, and past
+    # it S and T are the tails of their chi, so S = T iff the chi agree.
+    c0, c1 = w.chi
+    if (-sum(m * f for f, m in mult.items()), sum(mult.values())) != (2 * c0, 2 * c1):
         raise NotInCone(0, "second differences do not reconstruct the table")
-    return CohDecomposition(tuple((m, RootSequence(1, (f,))) for f, m in mult.items()))
+    return CohDecomposition(tuple((Fraction(m, 2 * w.den), RootSequence(1, (f,)))
+                                  for f, m in mult.items()))

@@ -50,17 +50,11 @@ class NotStaircase(NotInCone):
 
     code = "not-staircase"
 
-    def __init__(self, detail, step=0):
-        super().__init__(step, detail)
-
 
 class TailGuardFailure(NotInCone):
     """A peel remainder failed the polynomial tail nonnegativity checks."""
 
     code = "tail-guard"
-
-    def __init__(self, detail, step=0):
-        super().__init__(step, detail)
 
 
 class WindowTooSmall(BettiConeError):

@@ -12,9 +12,9 @@ from itertools import product
 from math import floor, gcd, prod
 from operator import mul
 
-from .coh_decomposition import _decompose
-from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
-from .tables import Numerators, _cleared, _union_cells, add_tables, validate
+from .coh_decomposition import _decompose, _valid
+from .errors import BoundViolation, BudgetExceeded, NotInCone
+from .tables import Numerators, _cleared, _union_cells, add_tables
 
 
 def cancellation_bounds(A, B):
@@ -126,10 +126,7 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     sequence); one in the cone is cancelled again into its table.
     """
     patterns = _candidates(A, B, mode, budget, serre_shift)
-    split = Numerators(add_tables(A, B))
-    problems = validate(split)
-    if problems:
-        raise InvalidTable(problems)
+    split = _valid(add_tables(A, B))
     sigmas = {}
     decided = []
     for pattern in patterns:

@@ -47,11 +47,15 @@ def stillman_diagram(params):
     falsifies the family's defining property at these parameters.
     """
     diagram = normalized_diagram(stillman_sequence(params))
-    for v in diagram.values:
-        if v.denominator != 1:
-            raise IntegralityViolation(
-                f"entry {v} of the {params} diagram is not an integer")
+    v = _first_fraction(diagram)
+    if v is not None:
+        raise IntegralityViolation(f"entry {v} of the {params} diagram is not an integer")
     return diagram
+
+
+def _first_fraction(diagram):
+    # The first entry of the diagram that is not an integer, or None.
+    return next((v for v in diagram.values if v.denominator != 1), None)
 
 
 def realizability_obstruction(diagram, r):
@@ -70,14 +74,8 @@ def scan(e, r, p_max):
     StillmanParams(e, r, p_max)  # checks all three, also when p_max < 0
     rows = []
     for p in range(p_max + 1):
-        params = StillmanParams(e, r, p)
-        sequence = stillman_sequence(params)
-        try:
-            diagram = stillman_diagram(params)
-            integral = True
-        except IntegralityViolation:
-            diagram = normalized_diagram(sequence)
-            integral = False
-        rows.append(ScanRow(p, sequence, diagram, integral,
+        sequence = stillman_sequence(StillmanParams(e, r, p))
+        diagram = normalized_diagram(sequence)
+        rows.append(ScanRow(p, sequence, diagram, _first_fraction(diagram) is None,
                             realizability_obstruction(diagram, r)))
     return rows

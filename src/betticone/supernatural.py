@@ -138,7 +138,7 @@ def corner_roots(g):
             raise WindowTooSmall(f"row {row} has no support on the window "
                                  f"but continues past its edge")
         if row not in minima:
-            raise NotStaircase(f"row {row} has no support on the window")
+            raise NotStaircase(0, f"row {row} has no support on the window")
     roots = [minima[0] - 1]
     for i in range(2, g.n + 1):
         row = i - 1

@@ -432,7 +432,7 @@ def reference_peel_supernatural(g, roots):
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     problems = reference_tail_violations(remainder)
     if problems:
-        raise TailGuardFailure("; ".join(problems))
+        raise TailGuardFailure(0, "; ".join(problems))
     return q, remainder
 
 
@@ -444,8 +444,12 @@ def reference_decompose_cohomology(g):
     terms = []
     work = g
     while not work.is_zero():
-        roots = corner_roots(work)
-        q, work = reference_peel_supernatural(work, roots)
+        try:
+            roots = corner_roots(work)
+            q, work = reference_peel_supernatural(work, roots)
+        except NotInCone as exc:
+            # the step of a refusal is the number of peels done before it
+            raise type(exc)(len(terms), exc.detail) from None
         terms.append((q, roots))
     for step, ((_, f), (_, h)) in enumerate(zip(terms, terms[1:]), start=1):
         if any(a > b for a, b in zip(f.roots, h.roots)):

@@ -123,7 +123,7 @@ def test_tail_guard_fixture(capsys):
     path = str(FIXTURES / "p1_tail_guard.ct")
     assert run_cli(capsys, "member", path) == (0, "in-cone no\n", "")
     assert run_cli(capsys, "coh-decompose", path) == (
-        1, "", "tail-guard: step 0: right tail negative: chi(4) = -1; right tail "
+        1, "", "tail-guard: step 1: right tail negative: chi(4) = -1; right tail "
         "negative: chi(5) = -1; leading chi coefficient -1 is negative\n")
 
 

@@ -183,7 +183,7 @@ def test_valid_table_stopped_by_the_tail_guard():
     with pytest.raises(TailGuardFailure) as info:
         decompose_cohomology(t)
     assert str(info.value) == (
-        "step 0: right tail negative: chi(4) = -1; right tail negative: "
+        "step 1: right tail negative: chi(4) = -1; right tail negative: "
         "chi(5) = -1; leading chi coefficient -1 is negative")
     with pytest.raises(NotInCone) as info:
         p1_oracle(t)
@@ -301,6 +301,43 @@ def test_oracle_builds_no_supernatural_table(monkeypatch):
     with pytest.raises(NotInCone):
         p1_oracle(line_bundle_table(1, 0, (0, 5)))
     assert calls == []
+
+
+@pytest.mark.parametrize("table, accepted", [
+    (split_table, True), (tail_guard_table, False),
+    (lambda: line_bundle_table(1, 0, (0, 5)), False)])
+def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
+    # Given the Numerators, the oracle neither changes them nor goes back
+    # to a CohomologyTable or to Fraction arithmetic; only its terms and
+    # its refusal text are Fractions.
+    t = table()
+    expected = outcome(p1_oracle, t)
+    work = tables.Numerators(t)
+    before = work.den, dict(work.entries), list(work.chi)
+    built = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(tables.Numerators, "table",
+                        counted("table", tables.Numerators.table))
+    monkeypatch.setattr(CohomologyTable, "__init__",
+                        counted("CohomologyTable", CohomologyTable.__init__))
+    trusted = CohomologyTable._trusted.__func__
+    monkeypatch.setattr(CohomologyTable, "_trusted",
+                        classmethod(counted("CohomologyTable", trusted)))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__eq__", "__lt__", "__le__",
+                 "__gt__", "__ge__", "__bool__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    got = outcome(p1_oracle, work)
+    ops = list(built)
+    monkeypatch.undo()
+    assert ops == []
+    assert got == expected and isinstance(got, list) == accepted
+    assert (work.den, work.entries, work.chi) == before
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,6 +472,30 @@ def test_peel_supernatural_matches_the_fraction_peel(seed):
         except (NotInCone, WindowTooSmall) as exc:
             return type(exc), str(exc)
     assert peel(peel_supernatural) == peel(reference_peel_supernatural)
+
+
+def test_a_refusal_names_the_peels_done_before_it(monkeypatch):
+    peels = []
+    peel = coh_decomposition._peel
+
+    def counted(*args):
+        q = peel(*args)
+        peels.append(q)
+        return q
+    monkeypatch.setattr(coh_decomposition, "_peel", counted)
+    steps = set()
+    for seed in range(400):
+        t = random_greedy_input(random.Random(seed))
+        peels.clear()
+        try:
+            decompose_cohomology(t)
+        except NotInCone as exc:
+            assert exc.step == len(peels)
+            assert str(exc).startswith(f"step {len(peels)}: ")
+            steps.add(exc.step)
+        except (InvalidTable, WindowTooSmall):
+            pass
+    assert 0 in steps and len(steps) > 1
 
 
 def corner_roots_or_none(t):

@@ -103,6 +103,8 @@ def test_post_init_normalizes_the_fields():
     (lambda: StillmanParams(1, 2, -1), "p must be >= 0, got -1"),
     (lambda: PureDiagram(DegreeSequence(0, (0, 1), 1), (1,)),
      "one value per degree required"),
+    (lambda: PureDiagram(DegreeSequence(0, (0, 1), 1), (1, 0)),
+     "diagram values must be positive: (Fraction(1, 1), Fraction(0, 1))"),
 ])
 def test_post_init_refuses_bad_fields(make, message):
     with pytest.raises(ValueError) as info:

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import (StillmanParams, decompose, realizability_obstruction,
+import betticone.stillman as stillman
+from betticone import (PureDiagram, StillmanParams, decompose, realizability_obstruction,
                        scan, stillman_diagram, stillman_sequence)
+from betticone.cli import main
 
 F = Fraction
 
@@ -104,3 +106,17 @@ def test_scan_checks_its_parameters_when_no_member_is_asked_for():
         scan(1, 1, -1)
     with pytest.raises(ValueError, match=r"^p must be >= 0, got -1$"):
         scan(2, 3, -1)
+
+
+def test_scan_reports_a_non_integral_member(monkeypatch, capsys):
+    # scan builds each member's diagram once and reads its integrality off
+    # it by stillman_diagram's rule, so it reports what that would refuse
+    def halved(sequence):
+        return PureDiagram(sequence, (F(1, 2),) * len(sequence))
+    monkeypatch.setattr(stillman, "normalized_diagram", halved)
+    rows = scan(2, 3, 1)
+    assert [row.integral for row in rows] == [False, False]
+    assert rows[1].diagram.values == (F(1, 2),) * 6
+    assert main(["stillman", "-e", "2", "-r", "3", "--p-max", "1", "--tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[3] for line in lines[1:]] == ["N", "N"]
