@@ -15,8 +15,7 @@ from .diagrams import (DegreeSequence, Ordering, PureDiagram, compare, is_chain,
 from .errors import (BettiConeError, BoundViolation, BudgetExceeded,
                      DimensionMismatch, IntegralityViolation, InvalidTable,
                      NegativeEntry, NotInCone, NotStaircase, OracleMismatch,
-                     ParseError, StrandNotIncreasing, TailGuardFailure,
-                     WindowTooSmall)
+                     ParseError, StrandNotIncreasing, WindowTooSmall)
 from .exchange import parse_table, pretty_betti, pretty_cohomology, serialize_table
 from .extension import (apply_cancellation, cancellation_bounds,
                         enumerate_patterns, feasible_set, polytope_vertices)
@@ -33,7 +32,7 @@ __all__ = [
     "DimensionMismatch", "IntegralityViolation", "InvalidTable", "NegativeEntry",
     "NotInCone", "NotStaircase", "Obstruction", "OracleMismatch", "Ordering",
     "ParseError", "PureDiagram", "RootSequence", "StillmanParams",
-    "StrandNotIncreasing", "TailGuardFailure", "WindowTooSmall",
+    "StrandNotIncreasing", "WindowTooSmall",
     "add_tables", "apply_cancellation", "cancellation_bounds", "chi_eval",
     "compare", "corner_roots", "decompose", "decompose_cohomology",
     "enumerate_patterns", "feasible_set", "is_chain", "is_member",

@@ -19,8 +19,8 @@ from math import gcd
 from .coh_decomposition import decompose_cohomology
 from .diagrams import (DegreeSequence, _gap_products, _integral, _integral_values,
                        _normalized, is_chain)
-from .errors import NotInCone, StrandNotIncreasing
-from .tables import BettiTable, Record, combine, first_twists
+from .errors import InvalidTable, NotInCone, StrandNotIncreasing
+from .tables import BettiTable, Record, combine, first_twists, validate
 
 
 class BettiDecomposition(Record):
@@ -124,7 +124,8 @@ def decompose(b, normalized=False):
     """Write ``b`` as a positive rational chain combination of pure diagrams.
 
     Coefficients are reported against smallest-integral diagrams unless
-    ``normalized`` asks for first-entry-1 diagrams.  Raises NotInCone (or its
+    ``normalized`` asks for first-entry-1 diagrams.  Raises InvalidTable on
+    an entry that is not positive, and NotInCone (or its
     StrandNotIncreasing refinement) when the strands fail to form a chain.
     Each peel (q > 0) zeroes its binding cell and adds none, so the loop
     ends.  A peel rewrites strand cells only, and every strand degree is its
@@ -136,6 +137,8 @@ def decompose(b, normalized=False):
     terms = []
     strands = []
     work = _pairs(b)
+    if any(N <= 0 for N, _ in work.values()):
+        raise InvalidTable(validate(b))
     columns = {}
     for i, d in sorted(work, reverse=True):
         columns.setdefault(i, []).append(d)

@@ -2,14 +2,15 @@
 
 Mirrors the Betti-side greedy: read the staircase corners, subtract the
 largest multiple of the matching unit supernatural table that keeps the
-window nonnegative and the tails sound, and repeat.  A closed-form second
-difference oracle on P^1, on int numerators, cross-checks the whole pipeline.
+window nonnegative, and repeat, on the table widened by its tail cells.  A
+closed-form second difference oracle on P^1, on int numerators,
+cross-checks the whole pipeline.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from .errors import InvalidTable, NotInCone, TailGuardFailure
+from .errors import InvalidTable, NotInCone
 from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window,
                            chi_from_roots, corner_roots)
 from .tables import Numerators, validate
@@ -17,9 +18,10 @@ from .tables import Numerators, validate
 
 def peel_supernatural(g, roots):
     """Largest q with g - q * sigma_roots nonnegative on the window, and
-    that remainder.  g must be valid (``decompose_cohomology`` validates its
-    input once); see ``_peel``.
+    that remainder, whose tails are not checked.  g must be valid and its
+    window must hold the roots' staircase (WindowTooSmall otherwise).
     """
+    _check_window(roots.roots, *g.window)
     work = Numerators(g)
     q = _peel(work, roots)
     return Fraction(*q), work.table()
@@ -38,14 +40,11 @@ def _peel(work, roots, sigmas=None):
     multiplication, ties going to the smallest cell.  When q > 0 every cell
     of sigma lies in the support, so the peel adds no cell, drives none
     negative and leaves rows, window and edge cells alone; the Euler
-    identity holds by linearity.  Only the signs of the polynomial tails can
-    break, so the remainder is checked with ``Numerators.tail_violations``
-    alone.
+    identity holds by linearity.
     """
     f = roots.roots
     built = sigmas.get(f) if sigmas is not None else None
     if built is None:
-        _check_window(f, *work.window)
         built = list(_cells(f, *work.window)), chi_from_roots(f, 1)
         if sigmas is not None:
             sigmas[f] = built
@@ -62,44 +61,50 @@ def _peel(work, roots, sigmas=None):
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     q = c * factorial(roots.n), work.den * p
     work.subtract(c, p, sigma, chi)
-    problems = work.tail_violations()
-    if problems:
-        raise TailGuardFailure(0, "; ".join(problems))
     return q
 
 
 def decompose_cohomology(g):
     """Write a valid table as a chain combination of unit supernatural tables.
 
-    Raises NotInCone (NotStaircase / TailGuardFailure refine it) when the
-    greedy cannot empty the window, its step being the number of peels done
-    before it, and WindowTooSmall when a corner sits too close to the window
-    edge to peel safely.
+    Raises InvalidTable on an invalid table, and NotInCone (NotStaircase
+    refines it) when the greedy cannot empty the widened table (``_valid``),
+    its step being the number of peels done before it.
     """
     return decompose_valid(_valid(g))
 
 
 def _valid(g):
-    # The Numerators of g (g itself when it is one), refused when invalid.
+    # The Numerators of g (g itself when it is one), refused when invalid,
+    # then widened in place by n + 1 twists on each side, where row 0 takes
+    # chi on the right and row n takes (-1)^n chi on the left.
     work = g if isinstance(g, Numerators) else Numerators(g)
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
+    n = work.n
+    lo, hi = work.window
+    for row, sign, twists in ((0, 1, range(hi + 1, hi + n + 2)),
+                              (n, (-1) ** n, range(lo - n - 1, lo))):
+        for j in twists:
+            if v := sign * work.chi_at(j):
+                work.entries[(row, j)] = v
+    work.window = lo - n - 1, hi + n + 1
     return work
 
 
 def decompose_valid(work):
-    """``decompose_cohomology`` for the ``Numerators`` of a table known to be
-    valid, which it empties.  Each peel (q > 0) zeroes its binding cell and
-    adds none, so the loop ends; and no row's first twist moves down, so by
+    """``decompose_cohomology`` for the ``Numerators`` from ``_valid``, which
+    it empties.  No peel moves a row's first twist down, so by
     ``corner_roots`` no root does: the roots form a chain without a check."""
     return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
 
 
 def _decompose(work, sigmas=None):
-    # decompose_valid's greedy on a working form, which it empties: one
-    # (q as an int pair, roots) per peel; sigmas as in _peel.  A refusal
+    # decompose_valid's greedy on a widened working form, which it empties:
+    # one (q as an int pair, roots) per peel; sigmas as in _peel.  A refusal
     # is renumbered with the count of peels done before it.
+    # No guard needed: cells stay >= 0 and tail cells follow chi, so emptied means g = sum q sigma.
     step = 0
     try:
         while not work.is_zero():
@@ -113,32 +118,32 @@ def _decompose(work, sigmas=None):
 def p1_oracle(g):
     """Independent P^1 decomposition via second differences, on ints.
 
-    With T(j) = gamma_0(j) + gamma_1(j) (tails included), a table in the cone
-    satisfies T = sum m_f |j - f|, so m_f is half the second difference of T
-    at f.  Any negative second difference, or an Euler polynomial other than
+    With T(j) = gamma_0(j) + gamma_1(j), a table in the cone satisfies
+    T = sum m_f |j - f|, so m_f is half the second difference of T at f.
+    T is read off the widened form (``_valid``), and f runs one twist past
+    each edge of the table's window; further out T follows its linear tails.
+    Any negative second difference, or an Euler polynomial other than
     sum m_f (x - f), means the table is outside the cone.  The check shares
     no code with the greedy.  g may be given as its ``Numerators``, which is
-    left as it is.
+    widened in place.
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
     w = _valid(g)
-    lo, hi = w.window
+    lo, hi = w.window  # two twists past each edge of g's window
 
     def T(j):  # numerator of T(j)
-        if lo <= j <= hi:
-            return w.entries.get((0, j), 0) + w.entries.get((1, j), 0)
-        return w.chi_at(j) if j > hi else -w.chi_at(j)
+        return w.entries.get((0, j), 0) + w.entries.get((1, j), 0)
 
     mult = {}  # f -> 2 * den * m_f
-    for f in range(lo, hi + 1):
+    for f in range(lo + 1, hi):
         m = T(f + 1) - 2 * T(f) + T(f - 1)
         if m < 0:
             raise NotInCone(0, f"negative second difference {w.fraction(m)} at j = {f}")
         if m > 0:
             mult[f] = m
-    # S = sum m_f |j - f| has T's second differences on the window, and past
-    # it S and T are the tails of their chi, so S = T iff the chi agree.
+    # S = sum m_f |j - f| has T's second differences everywhere, and past
+    # the window S and T are the tails of their chi, so S = T iff the chi agree.
     c0, c1 = w.chi
     if (-sum(m * f for f, m in mult.items()), sum(mult.values())) != (2 * c0, 2 * c1):
         raise NotInCone(0, "second differences do not reconstruct the table")

@@ -51,12 +51,6 @@ class NotStaircase(NotInCone):
     code = "not-staircase"
 
 
-class TailGuardFailure(NotInCone):
-    """A peel remainder failed the polynomial tail nonnegativity checks."""
-
-    code = "tail-guard"
-
-
 class WindowTooSmall(BettiConeError):
     code = "window-too-small"
 

@@ -121,9 +121,10 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
     tails alone, so every cancelled table is valid too.  Each candidate is
-    decided as it is drawn, on one copy of the split table's ``Numerators``
-    (all have its window, so sigma's cells are built once per root
-    sequence); one in the cone is cancelled again into its table.
+    decided as it is drawn, on one copy of the split table's ``Numerators``,
+    widened once by ``_valid`` (all have its window, so sigma's cells are
+    built once per root sequence); one in the cone is cancelled again into
+    its table, on that widened window.
     """
     patterns = _candidates(A, B, mode, budget, serre_shift)
     split = _valid(add_tables(A, B))

@@ -96,13 +96,15 @@ def _cells(f, lo, hi):
 
 def _integral_multiple(roots, window):
     """The smallest positive s making s times the unit supernatural table of
-    the roots integral on the window (which must hold the staircase).
+    the roots integral on the window together with its staircase
+    [f_n - 1, f_1 + 1].
 
     The entries are the int cells P over n!, so s = n! / gcd(P); the gcd
     stops at the first 1, and no table is built.
     """
+    f = roots.roots
     g = 0
-    for _, x in _cells(roots.roots, *window):
+    for _, x in _cells(f, min(window[0], f[-1] - 1), max(window[1], f[0] + 1)):
         g = gcd(g, x)
         if g == 1:
             break
@@ -129,7 +131,9 @@ def corner_roots(g):
     forced consecutive: f_i = f_{i-1} - 1).  When row 0 or n is empty on the
     window, raises NotStaircase if chi vanishes, and WindowTooSmall if not:
     the row then continues past the window edge, and so does its corner.
-    g may be a ``CohomologyTable`` or its ``Numerators`` working form.
+    The greedy's widened form holds n + 1 tail twists of both rows, so it
+    never meets the latter.  g may be a ``CohomologyTable`` or its
+    ``Numerators`` working form.
     Each root is at most the previous one minus 1, so they strictly decrease.
     """
     minima = first_twists(g)

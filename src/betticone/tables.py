@@ -320,7 +320,7 @@ def scale(t, c):
 
 def subtract_checked(a, b):
     """Entrywise a - b, refusing to go negative on any cell of b; its tails
-    beyond the union window are the caller's concern (see the peel guard)."""
+    beyond the union window are the caller's concern."""
     return combine(a, b, -1, nonneg=True)
 
 
@@ -355,7 +355,23 @@ def validate(t):
         if total != chi:
             violations.append(f"Euler mismatch at j = {j}: alternating sum "
                               f"{w.fraction(total)} != chi {w.fraction(chi)}")
-    return violations + w.tail_violations()
+    if not any(w.chi):
+        return violations
+    # The tails' signs, n + 1 twists past each window edge, and chi's lead.
+    for k in range(1, n + 2):
+        right = w.chi_at(hi + k)
+        if right < 0:
+            violations.append(f"right tail negative: chi({hi + k}) = {w.fraction(right)}")
+        left = w.chi_at(lo - k)
+        if n % 2 == 1:
+            left = -left
+        if left < 0:
+            violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = "
+                              f"{w.fraction(left)}")
+    lead = next(c for c in reversed(w.chi) if c)
+    if lead < 0:
+        violations.append(f"leading chi coefficient {w.fraction(lead)} is negative")
+    return violations
 
 
 class Numerators:
@@ -432,31 +448,3 @@ class Numerators:
             new = {key: v // k for key, v in new.items()}
             self.chi = [a // k for a in self.chi]
         self.entries = new
-
-    def tail_violations(self):
-        """Sign checks on the implicit tails (n + 1 twists past each window
-        edge) and on chi's leading coefficient, in ``validate``'s order.
-
-        These are the only invariants a supernatural peel can break, so its
-        remainder is checked with this alone.
-        """
-        if not any(self.chi):
-            return []
-        n = self.n
-        lo, hi = self.window
-        violations = []
-        for k in range(1, n + 2):
-            right = self.chi_at(hi + k)
-            if right < 0:
-                violations.append(f"right tail negative: chi({hi + k}) = "
-                                  f"{self.fraction(right)}")
-            left = self.chi_at(lo - k)
-            if n % 2 == 1:
-                left = -left
-            if left < 0:
-                violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = "
-                                  f"{self.fraction(left)}")
-        lead = next(c for c in reversed(self.chi) if c)
-        if lead < 0:
-            violations.append(f"leading chi coefficient {self.fraction(lead)} is negative")
-        return violations

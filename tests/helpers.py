@@ -9,8 +9,7 @@ from math import comb, factorial
 
 from betticone import (BettiDecomposition, BettiTable, CohomologyTable,
                        DegreeSequence, InvalidTable, NegativeEntry, NotInCone,
-                       RootSequence, StrandNotIncreasing, TailGuardFailure,
-                       add_tables, corner_roots, is_chain, normalized_diagram,
+                       RootSequence, StrandNotIncreasing, add_tables, corner_roots, is_chain, normalized_diagram,
                        scale, smallest_integral, supernatural_table, validate)
 from betticone import cli
 from betticone.diagrams import integral_scale
@@ -338,20 +337,21 @@ def reference_line_bundle_table(n, a, window):
 
 def reference_p1_oracle(g):
     """``p1_oracle`` rebuilding its answer as a sum of supernatural tables,
-    one whole-window table per term, as the library once did."""
+    one whole-window table per term, as the library once did; f runs one
+    twist past each window edge, and the tables two."""
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
     problems = validate(g)
     if problems:
         raise InvalidTable(problems)
     lo, hi = g.window
-    cells = g.cells(lo - 1, hi + 1)
+    cells = g.cells(lo - 2, hi + 2)
 
     def T(j):
         return cells.get((0, j), 0) + cells.get((1, j), 0)
 
     terms = []
-    for f in range(lo, hi + 1):
+    for f in range(lo - 1, hi + 2):
         m = Fraction(T(f + 1) - 2 * T(f) + T(f - 1), 2)
         if m < 0:
             raise NotInCone(0, f"negative second difference {2 * m} at j = {f}")
@@ -359,7 +359,7 @@ def reference_p1_oracle(g):
             terms.append((m, RootSequence(1, (f,))))
     rebuilt = CohomologyTable(1, g.window)
     for m, roots in terms:
-        rebuilt = add_tables(rebuilt, supernatural_table(roots, m, (lo - 1, hi + 1)))
+        rebuilt = add_tables(rebuilt, supernatural_table(roots, m, (lo - 2, hi + 2)))
     if rebuilt != g:
         raise NotInCone(0, "second differences do not reconstruct the table")
     return CohDecomposition(tuple(terms))
@@ -391,28 +391,6 @@ def random_point_set(rng, dim, max_points=10):
 # table.  The library now works on a mutable remainder (int numerators over
 # one denominator on the cohomology side); the suites compare outcomes.
 
-def reference_tail_violations(t):
-    """Tail and leading-coefficient signs, evaluated on ``Fraction`` chi."""
-    if not any(t.chi):
-        return []
-    n = t.n
-    lo, hi = t.window
-    violations = []
-    for k in range(1, n + 2):
-        right = t.chi_at(hi + k)
-        if right < 0:
-            violations.append(f"right tail negative: chi({hi + k}) = {right}")
-        left = t.chi_at(lo - k)
-        if n % 2 == 1:
-            left = -left
-        if left < 0:
-            violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = {left}")
-    lead = next(c for c in reversed(t.chi) if c)
-    if lead < 0:
-        violations.append(f"leading chi coefficient {lead} is negative")
-    return violations
-
-
 def peel_largest(g, unit):
     """(q, binding cell, g - q * unit) for q the minimum of g / unit over the
     unit's cells, ties going to the smallest cell; the caller refuses q <= 0,
@@ -430,19 +408,19 @@ def reference_peel_supernatural(g, roots):
     q, binding, remainder = peel_largest(g, supernatural_table(roots, 1, g.window))
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
-    problems = reference_tail_violations(remainder)
-    if problems:
-        raise TailGuardFailure(0, "; ".join(problems))
     return q, remainder
 
 
 def reference_decompose_cohomology(g):
-    """``decompose_cohomology`` on ``Fraction`` tables, validated densely."""
+    """``decompose_cohomology`` on ``Fraction`` tables, validated densely,
+    then peeled on the window widened by n + 1 twists on each side."""
     problems = dense_validate(g)
     if problems:
         raise InvalidTable(problems)
+    lo, hi = g.window
+    window = (lo - g.n - 1, hi + g.n + 1)
     terms = []
-    work = g
+    work = CohomologyTable(g.n, window, g.cells(*window), g.chi)
     while not work.is_zero():
         try:
             roots = corner_roots(work)
@@ -470,7 +448,10 @@ def reference_peel(b, seq):
 
 def reference_decompose(b, normalized=False):
     """``decompose`` with a ``first_twists`` rescan and a ``reference_peel``
-    copy of the table at every step."""
+    copy of the table at every step, on a table validated first."""
+    problems = validate(b)
+    if problems:
+        raise InvalidTable(problems)
     terms = []
     seqs = []
     truncations = []

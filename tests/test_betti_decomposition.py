@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import betticone.betti_decomposition as betti_decomposition
 import betticone.tables as tables
-from betticone import (BettiTable, DegreeSequence, NotInCone, StrandNotIncreasing,
-                       decompose, is_chain, is_member, min_strand,
-                       normalized_diagram, peel, recompose,
-                       smallest_integral)
+from betticone import (BettiTable, DegreeSequence, InvalidTable, NotInCone,
+                       StrandNotIncreasing, decompose, is_chain, is_member,
+                       min_strand, normalized_diagram, peel, recompose,
+                       smallest_integral, validate)
 from helpers import (chain_combination, random_chain, random_degree_sequence,
                      reference_decompose, reference_peel)
 
@@ -80,6 +80,27 @@ def test_peel_reports_a_negative_entry_before_an_absent_one():
     with pytest.raises(ValueError) as info:
         peel(b, DegreeSequence(0, (0, 1, 2), 2))
     assert str(info.value) == "scale factor must be nonnegative, got -3"
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 1, (1, 1): 0, (2, 2): 1}, {(0, 0): 1, (1, 1): -2, (2, 2): 1, (3, 3): -1}])
+def test_decompose_refuses_an_invalid_table_once(monkeypatch, entries):
+    # A stored zero or a negative entry is an invalid table, not a failed
+    # peel; validate runs only to word the refusal.
+    b = BettiTable(2, entries)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return validate(t)
+    monkeypatch.setattr(betti_decomposition, "validate", counted)
+    for normalized in (False, True):
+        with pytest.raises(InvalidTable) as info:
+            decompose(b, normalized)
+        assert info.value.violations == validate(b)
+    assert len(calls) == 2
+    decompose(BettiTable(2, XY2))
+    assert len(calls) == 2
 
 
 def test_decompose_xy2():
@@ -254,7 +275,7 @@ def random_betti_input(rng):
 def betti_outcome(t, decomposer, normalized):
     try:
         return [(c, d.sequence, d.values) for c, d in decomposer(t, normalized)]
-    except (NotInCone, ValueError) as exc:
+    except (InvalidTable, NotInCone, ValueError) as exc:
         return type(exc), str(exc)
 
 

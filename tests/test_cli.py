@@ -123,8 +123,7 @@ def test_tail_guard_fixture(capsys):
     path = str(FIXTURES / "p1_tail_guard.ct")
     assert run_cli(capsys, "member", path) == (0, "in-cone no\n", "")
     assert run_cli(capsys, "coh-decompose", path) == (
-        1, "", "tail-guard: step 1: right tail negative: chi(4) = -1; right tail "
-        "negative: chi(5) = -1; leading chi coefficient -1 is negative\n")
+        1, "", "not-in-cone: step 2: table vanishes at (0, 4) inside the staircase of 0\n")
 
 
 def test_coh_decompose_rank3(capsys):
@@ -206,13 +205,14 @@ def test_multiplicity_uses_the_rational_grammar(capsys):
     assert code == 0 and "chi 0 3/2\n" in out
 
 
-def test_negative_strand_is_a_usage_error(tmp_path, capsys):
+def test_negative_strand_is_an_invalid_table(tmp_path, capsys):
     path = tmp_path / "neg.bt"
     path.write_text("betti-table v1\nvars 1\nentry 0 0 -1\nentry 1 1 -1\n")
     for command in ("member", "decompose"):
         code, out, err = run_cli(capsys, command, str(path))
-        assert (code, out) == (2, "")
-        assert err == "usage-error: scale factor must be nonnegative, got -1\n"
+        assert (code, out) == (1, "")
+        assert err == ("invalid-table: entry (0, 0) = -1 is not positive; "
+                       "entry (1, 1) = -1 is not positive\n")
 
 
 def test_validate_pass_and_fail(tmp_path, capsys):
@@ -292,14 +292,6 @@ def _ext_polytope_files(tmp_path, **tables):
     return paths
 
 
-def test_ext_polytope_prints_nothing_when_a_candidate_raises(tmp_path, capsys):
-    paths = _ext_polytope_files(tmp_path, a=line_bundle_table(1, -5, (-3, 3)),
-                                b=line_bundle_table(1, 5, (-3, 3)))
-    code, out, err = run_cli(capsys, "ext-polytope", *paths)
-    assert (code, out) == (1, "")
-    assert err == "window-too-small: window [-3, 3] must contain [-5, -3]\n"
-
-
 def test_ext_polytope_prints_nothing_for_an_invalid_table(tmp_path, capsys):
     paths = _ext_polytope_files(tmp_path, a=CohomologyTable(1, (-3, 3), {(0, 0): 1}, [1, 1]),
                                 b=line_bundle_table(1, 5, (-3, 3)))
@@ -337,14 +329,26 @@ def test_a_serre_shift_without_symmetric_is_a_usage_error(capsys):
     assert (code, out) == run_cli(capsys, "ext-polytope", *paths)[:2]
 
 
-def test_outer_row_past_the_window_is_window_too_small(capsys):
-    # 4 sigma(-5) on the window [-6, -5]: row 0 starts right of the window, so
-    # the greedy cannot see its corner; it used to answer "in-cone no"
+def test_outer_row_past_the_window_is_decided(capsys):
+    # 4 sigma(-5) on the window [-6, -5]: row 0 starts right of the window,
+    # and the greedy reads its corner off the widened table's tail cells
     path = str(FIXTURES / "p1_corner_past_window.ct")
-    err = "window-too-small: row 0 has no support on the window but continues past its edge\n"
-    assert run_cli(capsys, "member", path) == (1, "", err)
-    assert run_cli(capsys, "coh-decompose", path) == (1, "", err)
-    assert run_cli(capsys, "coh-decompose", path, "--check-oracle") == (1, "", err)
+    assert run_cli(capsys, "member", path) == (0, "in-cone yes\n", "")
+    for flags in ([], ["--check-oracle"]):
+        assert run_cli(capsys, "coh-decompose", path, *flags) == (
+            0, "term 4 roots=-5\n", "")
+    assert run_cli(capsys, "coh-decompose", path, "--integral") == (
+        0, "term 4 roots=-5 multiple=1\n", "")
+
+
+def test_an_integral_multiple_reads_the_staircase_past_the_window(tmp_path, capsys):
+    # sigma_0 seen on the window [0, 0] alone, where it has no cell: its
+    # multiple is read over the window and the staircase [-1, 1] together
+    path = tmp_path / "sigma0.ct"
+    path.write_text("coh-table v1\nn 1\nwindow 0 0\nchi 0 1\n")
+    assert run_cli(capsys, "coh-decompose", str(path)) == (0, "term 1 roots=0\n", "")
+    assert run_cli(capsys, "coh-decompose", str(path), "--integral") == (
+        0, "term 1 roots=0 multiple=1\n", "")
 
 
 def test_check_oracle_flags_an_oracle_no_against_a_greedy_yes(monkeypatch, capsys):

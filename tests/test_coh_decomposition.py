@@ -11,7 +11,7 @@ import betticone.coh_decomposition as coh_decomposition
 import betticone.supernatural as supernatural
 import betticone.tables as tables
 from betticone import (CohomologyTable, InvalidTable, NotInCone, NotStaircase,
-                       RootSequence, TailGuardFailure, WindowTooSmall, add_tables,
+                       RootSequence, WindowTooSmall, add_tables,
                        corner_roots, decompose_cohomology, is_member,
                        line_bundle_table, p1_oracle, parse_table,
                        peel_supernatural, scale, serialize_table,
@@ -177,14 +177,14 @@ def tail_guard_table():
     return parse_table((FIXTURES / "p1_tail_guard.ct").read_text())
 
 
-def test_valid_table_stopped_by_the_tail_guard():
+def test_valid_table_stopped_at_a_tail_cell():
+    # the second peel leaves the first tail twist right of the window empty
     t = tail_guard_table()
     assert validate(t) == []
-    with pytest.raises(TailGuardFailure) as info:
+    with pytest.raises(NotInCone) as info:
         decompose_cohomology(t)
-    assert str(info.value) == (
-        "step 1: right tail negative: chi(4) = -1; right tail negative: "
-        "chi(5) = -1; leading chi coefficient -1 is negative")
+    assert type(info.value) is NotInCone
+    assert str(info.value) == "step 2: table vanishes at (0, 4) inside the staircase of 0"
     with pytest.raises(NotInCone) as info:
         p1_oracle(t)
     assert str(info.value) == "step 0: negative second difference -4 at j = 1"
@@ -198,13 +198,18 @@ def test_is_member_takes_cohomology_tables():
         is_member(CohomologyTable(1, (0, 2), {(0, 1): -1}, [0, 0]))
 
 
-def test_oracle_rejects_a_root_outside_the_window():
-    # O on P^1 is sigma_{-1}, whose root lies left of the window [0, 5]
-    t = line_bundle_table(1, 0, (0, 5))
-    assert validate(t) == []
-    with pytest.raises(NotInCone) as info:
-        p1_oracle(t)
-    assert str(info.value) == "step 0: second differences do not reconstruct the table"
+def sigma_minus1_table():
+    return parse_table((FIXTURES / "p1_sigma_minus1.ct").read_text())
+
+
+@pytest.mark.parametrize("table", [lambda: line_bundle_table(1, 0, (0, 5)),
+                                   sigma_minus1_table])
+def test_a_root_one_twist_past_the_window_is_decided(table):
+    # O on P^1 is sigma_{-1}, whose root lies one twist left of the window
+    t = table()
+    assert validate(t) == [] and t == supernatural_table(RootSequence(1, (-1,)))
+    for decomposer in (p1_oracle, decompose_cohomology):
+        assert [(c, r.roots) for c, r in decomposer(t)] == [(1, (-1,))]
 
 
 def chi_neutral_dent(rng, t):
@@ -222,8 +227,9 @@ def chi_neutral_dent(rng, t):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 48), st.integers(0, 2))
 def test_every_peel_remainder_is_valid(seed, dents):
-    # peel_supernatural checks only the tails of its remainder; everything
-    # else validate checks must follow from the input being valid
+    # peel_supernatural does not check the tails of its remainder past the
+    # window; everything else validate checks must follow from the input
+    # being valid
     rng = random.Random(seed)
     _, work = root_chain_combination(rng, random_root_chain(rng, rng.randint(1, 3)))
     for _ in range(dents):
@@ -237,7 +243,10 @@ def test_every_peel_remainder_is_valid(seed, dents):
             _, work = peel_supernatural(work, corner_roots(work))
         except (NotInCone, WindowTooSmall):
             break
-        assert validate(work) == []
+        problems = validate(work)
+        assert all(p.startswith(("right tail", "left tail", "leading chi")) for p in problems)
+        if problems:
+            break
 
 
 @pytest.mark.parametrize("table", [rank3_bundle, split_table, tail_guard_table])
@@ -298,22 +307,28 @@ def test_oracle_builds_no_supernatural_table(monkeypatch):
     assert not hasattr(coh_decomposition, "supernatural_table")
     monkeypatch.setattr(supernatural, "supernatural_table", counted)
     assert len(p1_oracle(split_table())) == 2
+    assert len(p1_oracle(line_bundle_table(1, 0, (0, 5)))) == 1
     with pytest.raises(NotInCone):
-        p1_oracle(line_bundle_table(1, 0, (0, 5)))
+        p1_oracle(tail_guard_table())
     assert calls == []
 
 
 @pytest.mark.parametrize("table, accepted", [
     (split_table, True), (tail_guard_table, False),
-    (lambda: line_bundle_table(1, 0, (0, 5)), False)])
+    (lambda: line_bundle_table(1, 0, (0, 5)), True)])
 def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
-    # Given the Numerators, the oracle neither changes them nor goes back
-    # to a CohomologyTable or to Fraction arithmetic; only its terms and
-    # its refusal text are Fractions.
+    # Given the Numerators, the oracle widens them in place by two tail
+    # twists on each side and changes nothing else, and it goes back
+    # neither to a CohomologyTable nor to Fraction arithmetic; only its
+    # terms and its refusal text are Fractions.
     t = table()
     expected = outcome(p1_oracle, t)
     work = tables.Numerators(t)
-    before = work.den, dict(work.entries), list(work.chi)
+    lo, hi = t.window
+    widened = tables.Numerators(CohomologyTable(1, (lo - 2, hi + 2), t.cells(lo - 2, hi + 2),
+                                                t.chi))
+    assert widened.den == work.den
+    before = work.den, widened.window, widened.entries, list(work.chi)
     built = []
 
     def counted(name, original):
@@ -337,7 +352,7 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
     monkeypatch.undo()
     assert ops == []
     assert got == expected and isinstance(got, list) == accepted
-    assert (work.den, work.entries, work.chi) == before
+    assert (work.den, work.window, work.entries, work.chi) == before
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +436,7 @@ def random_greedy_input(rng):
 def greedy_outcome(decomposer, t):
     try:
         return [(c, r.roots) for c, r in decomposer(t)]
-    except (InvalidTable, NotInCone, WindowTooSmall) as exc:
+    except (InvalidTable, NotInCone) as exc:
         return type(exc), str(exc)
 
 
@@ -438,8 +453,42 @@ def test_the_differential_inputs_reach_every_outcome():
     for seed in range(400):
         result = greedy_outcome(decompose_cohomology, random_greedy_input(random.Random(seed)))
         seen.add(result[0] if isinstance(result, tuple) else "terms")
-    assert seen == {"terms", InvalidTable, NotInCone, NotStaircase, TailGuardFailure,
-                    WindowTooSmall}
+    assert seen == {"terms", InvalidTable, NotInCone, NotStaircase}
+
+
+def test_the_widened_greedy_decides_every_valid_table():
+    # No valid table is refused for its window (WindowTooSmall would end the
+    # test), every decomposition sums back to its table, and on P^1 the
+    # oracle gives the greedy's answer.
+    counts = {"terms": 0, "no": 0, "p1": 0}
+    for seed in range(2000):
+        t = random_greedy_input(random.Random(seed))
+        if validate(t):
+            continue
+        result = greedy_outcome(decompose_cohomology, t)
+        if isinstance(result, list):
+            rebuilt = CohomologyTable(t.n, t.window)
+            for c, roots in result:
+                rebuilt = add_tables(rebuilt, supernatural_table(RootSequence(t.n, roots), c))
+            assert rebuilt == t, seed
+        counts["terms" if isinstance(result, list) else "no"] += 1
+        if t.n == 1:
+            oracle = outcome(p1_oracle, t)
+            assert isinstance(oracle, list) == isinstance(result, list), seed
+            if isinstance(oracle, list):
+                assert oracle == result, seed
+            counts["p1"] += 1
+    assert min(counts.values()) > 400
+
+
+def test_a_negative_far_tail_is_not_in_the_cone():
+    # validate reads the tails n + 1 twists past the window only and misses
+    # chi(11) < 0; an emptied working form would certify the table, so the
+    # greedy must refuse it.
+    t = parse_table((FIXTURES / "p2_far_tail.ct").read_text())
+    assert validate(t) == []
+    assert t.value(0, 11) == F(-1, 2)
+    assert not is_member(t)
 
 
 @settings(max_examples=400, deadline=None)
@@ -449,7 +498,7 @@ def test_every_decomposition_is_a_chain_of_roots(seed):
     # corner root can move down from one step to the next
     try:
         dec = decompose_cohomology(random_greedy_input(random.Random(seed)))
-    except (InvalidTable, NotInCone, WindowTooSmall):
+    except (InvalidTable, NotInCone):
         return
     for (_, f), (_, h) in zip(dec, list(dec)[1:]):
         assert all(a <= b for a, b in zip(f.roots, h.roots))
@@ -493,7 +542,7 @@ def test_a_refusal_names_the_peels_done_before_it(monkeypatch):
             assert exc.step == len(peels)
             assert str(exc).startswith(f"step {len(peels)}: ")
             steps.add(exc.step)
-        except (InvalidTable, WindowTooSmall):
+        except InvalidTable:
             pass
     assert 0 in steps and len(steps) > 1
 

@@ -11,7 +11,7 @@ import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
 import betticone.tables as tables
 from betticone import (BoundViolation, BudgetExceeded, InvalidTable, NotInCone,
-                       RootSequence, WindowTooSmall, add_tables, apply_cancellation,
+                       RootSequence, add_tables, apply_cancellation,
                        cancellation_bounds, chi_eval, enumerate_patterns,
                        feasible_set, line_bundle_table, p1_oracle, parse_table,
                        polytope_vertices, scale, supernatural_table)
@@ -372,23 +372,19 @@ def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
     assert calls == {"Numerators": 1, "RootSequence": 0}
 
 
-def test_an_early_refusal_draws_one_candidate(monkeypatch):
-    # The first candidate's greedy already needs a wider window, so the
-    # call refuses before the other 14,399 candidates are enumerated.
+def test_the_narrow_pair_is_decided_past_its_window():
+    # O(-5) + O(5) on [-3, 3]: the split table's row 1 corner lies past the
+    # window edge, and the greedy reads it off the widened table's tail.
     a = line_bundle_table(1, -5, (-3, 3))
     b = line_bundle_table(1, 5, (-3, 3))
-    drawn = []
-    product = extension.product
-
-    def counted(*ranges):
-        for values in product(*ranges):
-            drawn.append(values)
-            yield values
-    monkeypatch.setattr(extension, "product", counted)
-    with pytest.raises(WindowTooSmall, match=r"^window \[-3, 3\] must contain \[-5, -3\]$"):
-        decide_patterns(a, b)
-    assert len(drawn) == 1
-    assert len(enumerate_patterns(a, b)) == 14400
+    decided = decide_patterns(a, b)
+    assert len(decided) == 14400
+    feasible = [pattern for pattern, table in decided if table is not None]
+    support = sorted(cancellation_bounds(a, b))
+    assert [[p.get(key, 0) for key in support] for p in polytope_vertices(feasible, support)] \
+        == [[2, 2, 2, 2, 2, 2, 1], [3, 3, 3, 3, 3, 2, 1], [3, 4, 4, 4, 3, 2, 1],
+            [3, 4, 5, 4, 3, 2, 1]]
+    assert len(feasible) == 4
 
 
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
@@ -450,7 +446,7 @@ def _random_p1_extension(rng):
 def _decided_or_none(a, b, mode):
     try:
         return decide_patterns(a, b, mode, budget=3000)
-    except (InvalidTable, WindowTooSmall, BudgetExceeded):
+    except (InvalidTable, BudgetExceeded):
         return None
 
 

@@ -8,6 +8,9 @@ the canonical serialization, or the ``ParseError`` line and message.
 Rewrite the recording (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints one line for each entry it adds or changes: the argv, then
+the old and the new exit status and first line of output.
 """
 
 import contextlib
@@ -47,9 +50,11 @@ def _commands():
     commands += [["decompose", "fixtures/p1_split.ct"],
                  ["coh-decompose", "fixtures/pure_0134.bt"],
                  ["ext-polytope", "fixtures/pure_0134.bt", "fixtures/p1_split.ct"]]
-    # The first candidate already needs a wider window.
+    # A pair whose corners lie past its window edge, decided on the widened
+    # table; the full mode prints 14,400 candidate lines, so the symmetric
+    # mode stands for it.
     commands.append(["ext-polytope", "fixtures/p1_o_minus5_narrow.ct",
-                     "fixtures/p1_o_plus5_narrow.ct"])
+                     "fixtures/p1_o_plus5_narrow.ct", "--symmetric"])
     # Commands with inline arguments, some integers with signs or leading zeros.
     commands += [["stillman", "-e", "2", "-r", "3", "--p-max", "2"],
                  ["stillman", "-e", "2", "-r", "3", "--p-max", "2", "--tsv"],
@@ -159,9 +164,27 @@ def test_parse_results_match_the_recording():
         assert _parse(expected["text"]) == expected
 
 
+def _summary(entry):
+    # An entry's exit status and first line of output, stdout first.
+    if entry is None:
+        return "(none)"
+    text = entry.get("stdout") or entry.get("stderr") or entry.get("table") \
+        or entry.get("error", "")
+    first = text.partition("\n")[0]
+    return f"{entry.get('code', '-')} {first!r}"
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     record = {"commands": [_run(argv) for argv in _commands()],
               "parses": [_parse(text) for text in TEXTS]}
+    old = _load() if GOLDEN.exists() else {"commands": [], "parses": []}
+    for kind, key in (("commands", "argv"), ("parses", "text")):
+        before = {json.dumps(e[key]): e for e in old[kind]}
+        after = {json.dumps(e[key]): e for e in record[kind]}
+        for name in [*after, *(name for name in before if name not in after)]:
+            if before.get(name) != after.get(name):
+                print(f"{' '.join(json.loads(name)) if kind == 'commands' else name}: "
+                      f"{_summary(before.get(name))} -> {_summary(after.get(name))}")
     GOLDEN.write_text(json.dumps(record, indent=1, ensure_ascii=True) + "\n",
                       encoding="utf-8")
