@@ -76,20 +76,14 @@ def decompose_cohomology(g):
 
 def _valid(g):
     # The Numerators of g (g itself when it is one), refused when invalid,
-    # then widened in place by n + 1 twists on each side, where row 0 takes
-    # chi on the right and row n takes (-1)^n chi on the left.
+    # then widened in place to its cells n + 1 twists past each window edge.
     work = g if isinstance(g, Numerators) else Numerators(g)
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
-    n = work.n
     lo, hi = work.window
-    for row, sign, twists in ((0, 1, range(hi + 1, hi + n + 2)),
-                              (n, (-1) ** n, range(lo - n - 1, lo))):
-        for j in twists:
-            if v := sign * work.chi_at(j):
-                work.entries[(row, j)] = v
-    work.window = lo - n - 1, hi + n + 1
+    W = lo - work.n - 1, hi + work.n + 1
+    work.entries, work.window = work.cells(*W), W
     return work
 
 

@@ -121,18 +121,20 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
     tails alone, so every cancelled table is valid too.  Each candidate is
-    decided as it is drawn, on one copy of the split table's ``Numerators``,
-    widened once by ``_valid`` (all have its window, so sigma's cells are
-    built once per root sequence); one in the cone is cancelled again into
-    its table, on that widened window.
+    decided as it is drawn, on its own copy of the split table's
+    ``Numerators`` widened once by ``_valid`` (all have that window, so
+    sigma's cells are built once per root sequence).  One in the cone is
+    cancelled again on the unwidened split table, so its table keeps the
+    split table's window, as ``apply_cancellation``'s does.
     """
     patterns = _candidates(A, B, mode, budget, serre_shift)
-    split = _valid(add_tables(A, B))
+    split = Numerators(add_tables(A, B))
+    wide = _valid(split.copy())
     sigmas = {}
     decided = []
     for pattern in patterns:
         try:
-            for _ in _decompose(_cancel(split, pattern), sigmas):
+            for _ in _decompose(_cancel(wide, pattern), sigmas):
                 pass
         except NotInCone:
             decided.append((pattern, None))

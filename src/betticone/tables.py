@@ -18,7 +18,8 @@ remainder instead of building a table per step.
 ``validate``, the cohomology greedy and the extension's cancellations run on
 ``Numerators``, a mutable working form holding int numerators over one
 common denominator, built once per entry point (``validate`` takes a table
-or this form); values leave it as ``Fraction``.  The Betti greedy keeps a
+or this form); values leave it as ``Fraction``.  Both forms share their
+reads past the window (``_TwistReads``).  The Betti greedy keeps a
 reduced int (numerator, denominator) pair per cell instead (see
 ``betti_decomposition``): a common denominator would rescale the whole
 table whenever a step's coefficient brings a new one, while a pair per cell
@@ -156,49 +157,35 @@ class BettiTable(Record):
         return f"BettiTable(vars={self.vars}, {{{cells}}})"
 
 
-class CohomologyTable(Record):
-    """Cohomology rows 0..n over a finite twist window, plus the Euler polynomial.
+class _TwistReads:
+    """Reads of a cohomology table at every twist, exact in the subclass's
+    numbers: ``CohomologyTable``'s Fractions or ``Numerators``' ints.
 
-    ``chi`` holds monomial-basis coefficients c_0..c_n of chi(j) = sum c_k j^k.
-    Outside the window the table continues implicitly: row 0 carries chi(j)
-    to the right, row n carries (-1)^n chi(j) to the left, all other rows
-    vanish.  ``value`` materializes those tails.
+    Outside the ``window`` row 0 carries chi(j) to the right, row n carries
+    (-1)^n chi(j) to the left, and all other rows vanish; ``value`` and
+    ``cells`` are the only code that knows this.
     """
 
-    __slots__ = ("n", "window", "entries", "chi")
-
-    def __init__(self, n, window, entries=(), chi=None):
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        lo, hi = window
-        if lo > hi:
-            raise ValueError(f"empty window {window}")
-        if chi is None:
-            chi = [0] * (n + 1)
-        chi = tuple(Fraction(c) for c in chi)
-        if len(chi) != n + 1:
-            raise ValueError(f"chi needs {n + 1} coefficients, got {len(chi)}")
-        super().__init__(int(n), (int(lo), int(hi)), _as_entries(entries), chi)
+    __slots__ = ()
+    _zero = 0
 
     def chi_at(self, j):
-        """Evaluate chi(j) = sum c_k j^k exactly."""
-        total = ZERO
-        power = 1
-        for c in self.chi:
-            total += c * power
-            power *= j
+        """chi(j) = sum c_k j^k, by Horner's rule."""
+        total = 0
+        for c in reversed(self.chi):
+            total = total * j + c
         return total
 
     def value(self, i, j):
         """Entry at (i, j), materializing the two polynomial tails."""
         lo, hi = self.window
         if lo <= j <= hi:
-            return self.entries.get((i, j), ZERO)
+            return self.entries.get((i, j), self._zero)
         if j > hi:
-            return self.chi_at(j) if i == 0 else ZERO
+            return self.chi_at(j) if i == 0 else self._zero
         if i == self.n:
             return self.chi_at(j) if self.n % 2 == 0 else -self.chi_at(j)
-        return ZERO
+        return self._zero
 
     def cells(self, lo, hi):
         """Nonzero ``value``s on rows 0..n over [lo, hi], which contains our
@@ -218,11 +205,36 @@ class CohomologyTable(Record):
                     out[(n, j)] = v if n % 2 == 0 else -v
         return out
 
-    def support(self):
-        return sorted(self.entries)
-
     def is_zero(self):
         return not self.entries and not any(self.chi)
+
+
+class CohomologyTable(Record, _TwistReads):
+    """Cohomology rows 0..n over a finite twist window, plus the Euler polynomial.
+
+    ``chi`` holds monomial-basis coefficients c_0..c_n of chi(j) = sum c_k j^k.
+    Outside the window the table continues by chi's two tails, which
+    ``value`` and ``cells`` (from ``_TwistReads``) materialize.
+    """
+
+    __slots__ = ("n", "window", "entries", "chi")
+    _zero = ZERO
+
+    def __init__(self, n, window, entries=(), chi=None):
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        lo, hi = window
+        if lo > hi:
+            raise ValueError(f"empty window {window}")
+        if chi is None:
+            chi = [0] * (n + 1)
+        chi = tuple(Fraction(c) for c in chi)
+        if len(chi) != n + 1:
+            raise ValueError(f"chi needs {n + 1} coefficients, got {len(chi)}")
+        super().__init__(int(n), (int(lo), int(hi)), _as_entries(entries), chi)
+
+    def support(self):
+        return sorted(self.entries)
 
     def __eq__(self, other):
         """Semantic equality: same table as a function, windows may differ."""
@@ -359,12 +371,10 @@ def validate(t):
         return violations
     # The tails' signs, n + 1 twists past each window edge, and chi's lead.
     for k in range(1, n + 2):
-        right = w.chi_at(hi + k)
+        right = w.value(0, hi + k)
         if right < 0:
             violations.append(f"right tail negative: chi({hi + k}) = {w.fraction(right)}")
-        left = w.chi_at(lo - k)
-        if n % 2 == 1:
-            left = -left
+        left = w.value(n, lo - k)
         if left < 0:
             violations.append(f"left tail negative: (-1)^{n} chi({lo - k}) = "
                               f"{w.fraction(left)}")
@@ -374,7 +384,7 @@ def validate(t):
     return violations
 
 
-class Numerators:
+class Numerators(_TwistReads):
     """Working form of a cohomology table, not exported: int numerators over
     one positive common denominator ``den``, for the stored entries and for
     chi.
@@ -382,7 +392,8 @@ class Numerators:
     Values leave it as ``Fraction`` through ``fraction`` and ``table``.
     Unlike ``CohomologyTable`` it is mutable: ``subtract`` updates it in
     place.  ``first_twists``, ``corner_roots`` and ``validate`` take either
-    form.
+    form, and so do the reads ``chi_at``, ``value``, ``cells`` and
+    ``is_zero`` (``_TwistReads``), which give numerators here.
     """
 
     __slots__ = ("n", "window", "den", "entries", "chi")
@@ -406,16 +417,6 @@ class Numerators:
     def fraction(self, v):
         """The value whose numerator over ``den`` is v."""
         return Fraction(v, self.den)
-
-    def chi_at(self, j):
-        """Numerator of chi(j), by Horner's rule."""
-        total = 0
-        for c in reversed(self.chi):
-            total = total * j + c
-        return total
-
-    def is_zero(self):
-        return not self.entries and not any(self.chi)
 
     def table(self):
         """The ``CohomologyTable`` this form stands for."""

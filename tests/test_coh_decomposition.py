@@ -355,6 +355,24 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
     assert (work.den, work.window, work.entries, work.chi) == before
 
 
+@pytest.mark.parametrize("table", [
+    rank3_bundle,
+    lambda: scale(supernatural_table(RootSequence(3, (2, 0, -1)), 1, (-3, 3)), F(5, 2))])
+def test_the_working_form_is_widened_by_its_tail_cells(table):
+    # On P^2 and P^3 too (n even flips the left tail's sign), _valid widens
+    # the Numerators in place by n + 1 twists on each side to exactly the
+    # table's cells there, in the same order, with the same den and chi.
+    t = table()
+    n, (lo, hi) = t.n, t.window
+    W = lo - n - 1, hi + n + 1
+    widened = tables.Numerators(CohomologyTable(n, W, t.cells(*W), t.chi))
+    work = tables.Numerators(t)
+    assert coh_decomposition._valid(work) is work
+    assert (work.den, work.window, list(work.entries.items()), work.chi) == \
+        (widened.den, W, list(widened.entries.items()), widened.chi)
+    assert any(i == n and j < lo for i, j in work.entries)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 48), st.integers(0, 2))
 def test_every_successful_peel_drops_a_cell_and_adds_none(seed, dents):

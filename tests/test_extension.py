@@ -14,7 +14,8 @@ from betticone import (BoundViolation, BudgetExceeded, InvalidTable, NotInCone,
                        RootSequence, add_tables, apply_cancellation,
                        cancellation_bounds, chi_eval, enumerate_patterns,
                        feasible_set, line_bundle_table, p1_oracle, parse_table,
-                       polytope_vertices, scale, supernatural_table)
+                       polytope_vertices, pretty_cohomology, scale,
+                       serialize_table, supernatural_table)
 from betticone.extension import decide_patterns
 from betticone.supernatural import CohDecomposition
 from helpers import _in_hull, random_point_set, reference_polytope_vertices
@@ -389,7 +390,8 @@ def test_the_narrow_pair_is_decided_past_its_window():
 
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         monkeypatch):
-    # One working copy per candidate, and a second one for each of the 55
+    # One widened copy of the split table, one working copy of it per
+    # candidate, and a copy of the unwidened split table for each of the 55
     # candidates in the cone, which becomes its table.
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
@@ -409,7 +411,22 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
     decided = decide_patterns(a, b)
     assert len(decided) == 396
     assert sum(table is not None for _, table in decided) == 55
-    assert calls == {"copy": 396 + 55, "CohDecomposition": 0}
+    assert calls == {"copy": 1 + 396 + 55, "CohDecomposition": 0}
+
+
+def test_a_feasible_table_is_the_one_apply_cancellation_gives():
+    # The greedy decides on the widened split table, but each feasible table
+    # keeps the split table's window (-6, 4) and stores no tail cell, so it
+    # prints as apply_cancellation's table prints.
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    feasible = feasible_set(a, b)
+    assert len(feasible) == 55
+    for pattern, table in feasible:
+        applied = apply_cancellation(a, b, pattern)
+        assert serialize_table(table) == serialize_table(applied)
+        assert pretty_cohomology(table) == pretty_cohomology(applied)
+        assert table.window == applied.window == (-6, 4)
 
 
 def test_the_budget_is_checked_before_the_split_table():

@@ -11,7 +11,7 @@ from betticone import (BettiTable, CohomologyTable, DimensionMismatch,
                        supernatural_table, validate)
 import betticone.tables as tables
 from betticone.tables import combine, first_twists
-from helpers import peel_largest
+from helpers import peel_largest, random_root_chain, root_chain_combination
 
 F = Fraction
 
@@ -196,6 +196,30 @@ def test_a_zero_ratio_peel_builds_no_remainder(monkeypatch):
     q, _, rest = peel_largest(g, koszul)
     assert q == 0 and rest is g
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_the_working_form_reads_the_table_times_den(seed):
+    # Numerators share the table's reads: each one gives the table's value
+    # times den, as an int, on a window wider than the table's on both sides.
+    rng = random.Random(seed)
+    _, t = root_chain_combination(rng, random_root_chain(rng, rng.randint(1, 3)))
+    t = scale(t, F(rng.randint(1, 9), rng.randint(1, 9)))
+    work = tables.Numerators(t)
+    den = work.den
+    lo, hi = t.window[0] - rng.randint(0, 5), t.window[1] + rng.randint(0, 5)
+    cells = work.cells(lo, hi)
+    assert cells == {key: v * den for key, v in t.cells(lo, hi).items()}
+    assert all(type(v) is int for v in cells.values())
+    for j in range(lo, hi + 1):
+        assert work.chi_at(j) == t.chi_at(j) * den
+        for i in range(t.n + 1):
+            v = work.value(i, j)
+            assert type(v) is int and v == t.value(i, j) * den
+    assert work.is_zero() is t.is_zero() is False
+    empty = CohomologyTable(t.n, t.window)
+    assert tables.Numerators(empty).is_zero() is empty.is_zero() is True
 
 
 def test_first_twists_for_both_kinds():
