@@ -8,17 +8,23 @@ exactly when this empties the table along a chain of degree sequences.
 The greedy works on ints: each cell's value is held as a reduced
 (numerator, positive denominator) pair, and a peel reads and rewrites the
 strand's cells only, with one gcd per cell, so it costs O(strand) whatever
-the table's support.  Column minima come from one stack of degrees per
-column, smallest on top, which each peel pops where it zeroed a cell.  Only
-each term's coefficient and diagram leave it as ``Fraction``.
+the table's support.  Only each term's coefficient and diagram leave it as
+``Fraction``.
+
+Every strand cell is its column's minimum, so a peel can only raise a
+column's least degree and never refills an emptied column.  Hence column
+minima come from one stack of degrees per column, smallest on top, popped
+where a peel zeroed a cell; and each strand starts no earlier than the last
+and dominates it on their shared columns.  The chain can then break only
+where a strand runs past the end of a last strand shorter than vars + 1,
+and the greedy refuses there, before peeling it.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .coh_decomposition import decompose_cohomology
-from .diagrams import (DegreeSequence, _gap_products, _integral, _integral_values,
-                       _normalized, is_chain)
+from .diagrams import DegreeSequence, _gap_products, _integral, _integral_values, _normalized
 from .errors import InvalidTable, NotInCone, StrandNotIncreasing
 from .tables import BettiTable, Record, combine, first_twists, validate
 
@@ -39,23 +45,16 @@ class BettiDecomposition(Record):
 
 
 def _strand_info(minima, vars):
-    # The top strand of a table with the given column minima, plus the
-    # column (or None) at which a nonempty column with non-increasing
-    # minimum forced truncation.  Its degrees strictly increase and number
-    # at most vars + 1 by construction, so they skip the checks.
+    # The top strand of a table with the given column minima: strictly
+    # increasing and at most vars + 1 long by construction, so unchecked.
+    # A shorter one stops at column end + 1, empty or not above its end.
     a = min(minima)
     degrees = [minima[a]]
-    truncated_at = None
     i = a + 1
-    while len(degrees) < vars + 1:
-        if i not in minima:
-            break
-        if minima[i] <= degrees[-1]:
-            truncated_at = i
-            break
+    while len(degrees) < vars + 1 and i in minima and minima[i] > degrees[-1]:
         degrees.append(minima[i])
         i += 1
-    return DegreeSequence._trusted(a, tuple(degrees), vars), truncated_at
+    return DegreeSequence._trusted(a, tuple(degrees), vars)
 
 
 def min_strand(b):
@@ -67,7 +66,7 @@ def min_strand(b):
     """
     if b.is_zero():
         raise ValueError("zero table has no strand")
-    return _strand_info(first_twists(b), b.vars)[0]
+    return _strand_info(first_twists(b), b.vars)
 
 
 def peel(b, seq):
@@ -126,16 +125,14 @@ def decompose(b, normalized=False):
     Coefficients are reported against smallest-integral diagrams unless
     ``normalized`` asks for first-entry-1 diagrams.  Raises InvalidTable on
     an entry that is not positive, and NotInCone (or its
-    StrandNotIncreasing refinement) when the strands fail to form a chain.
-    Each peel (q > 0) zeroes its binding cell and adds none, so the loop
-    ends.  A peel rewrites strand cells only, and every strand degree is its
-    column's minimum, so each column keeps its degrees as a stack, largest
-    first, whose top is popped when a peel drops it.  The greedy peels the
-    integral diagram w; the normalized one is w / w_0, with coefficient
-    q w_0.
+    StrandNotIncreasing refinement) before peeling the first strand that
+    breaks the chain, so its step is the number of peels done.  Each peel
+    (q > 0) zeroes its binding cell and adds none, so the loop ends.  The
+    greedy peels the integral diagram w; the normalized one is w / w_0, with
+    coefficient q w_0.
     """
     terms = []
-    strands = []
+    last = None
     work = _pairs(b)
     if any(N <= 0 for N, _ in work.values()):
         raise InvalidTable(validate(b))
@@ -144,7 +141,15 @@ def decompose(b, normalized=False):
         columns.setdefault(i, []).append(d)
     minima = {i: stack[-1] for i, stack in columns.items()}
     while work:
-        seq, truncated_at = _strand_info(minima, b.vars)
+        seq = _strand_info(minima, b.vars)
+        # the one fan-order clause a peel can break (module docstring); a
+        # short last strand stopped at column last.end + 1, which its peel
+        # left alone
+        if last is not None and seq.end > last.end and len(last.degrees) <= b.vars:
+            detail = f"strands {last} and {seq} are not comparable"
+            if last.end + 1 in minima:
+                raise StrandNotIncreasing(len(terms), last.end + 1, detail)
+            raise NotInCone(len(terms), detail)
         D = _gap_products(seq.degrees)
         w = _integral_values(D)
         n, d = _peel(work, seq, w)
@@ -152,7 +157,7 @@ def decompose(b, normalized=False):
             terms.append((Fraction(n * w[0], d), _normalized(seq, D)))
         else:
             terms.append((Fraction(n, d), _integral(seq, w)))
-        strands.append((seq, truncated_at))
+        last = seq
         for i in range(seq.start, seq.start + len(seq.degrees)):
             if (i, minima[i]) not in work:
                 stack = columns[i]
@@ -161,12 +166,6 @@ def decompose(b, normalized=False):
                     minima[i] = stack[-1]
                 else:
                     del columns[i], minima[i]
-    for step, ((d, truncated_at), (e, _)) in enumerate(zip(strands, strands[1:]), start=1):
-        if not is_chain([d, e]):
-            detail = f"strands {d} and {e} are not comparable"
-            if truncated_at is not None:
-                raise StrandNotIncreasing(step, truncated_at, detail)
-            raise NotInCone(step, detail)
     return BettiDecomposition(tuple(terms))
 
 

@@ -136,19 +136,15 @@ def _cmd_coh_decompose(args):
 
 def _cmd_stillman(args):
     rows = scan(args.e, args.r, args.p_max)
+    names = ("p", "degrees", "values", "integral", "codim", "obstruction")
+    yes, no = ("Y", "N") if args.tsv else ("yes", "no")
     if args.tsv:
-        print("p\tdegrees\tvalues\tintegral\tcodim\tobstruction")
-        for row in rows:
-            print(f"{row.p}\t{_fmt_seq(row.sequence.degrees)}\t"
-                  f"{_fmt_seq(row.diagram.values)}\t{'Y' if row.integral else 'N'}\t"
-                  f"{row.obstruction.codim}\t{row.obstruction.verdict}")
-    else:
-        for row in rows:
-            print(f"p={row.p} degrees={_fmt_seq(row.sequence.degrees)} "
-                  f"values={_fmt_seq(row.diagram.values)} "
-                  f"integral={'yes' if row.integral else 'no'} "
-                  f"codim={row.obstruction.codim} "
-                  f"obstruction={row.obstruction.verdict}")
+        print("\t".join(names))
+    for row in rows:
+        values = (row.p, _fmt_seq(row.sequence.degrees), _fmt_seq(row.diagram.values),
+                  yes if row.integral else no, row.obstruction.codim, row.obstruction.verdict)
+        print("\t".join(map(str, values)) if args.tsv
+              else " ".join(f"{name}={value}" for name, value in zip(names, values)))
     return 0
 
 

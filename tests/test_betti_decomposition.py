@@ -1,6 +1,7 @@
 import random
 from ast import literal_eval
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ import betticone.betti_decomposition as betti_decomposition
 import betticone.tables as tables
 from betticone import (BettiTable, DegreeSequence, InvalidTable, NotInCone,
                        StrandNotIncreasing, decompose, is_chain, is_member,
-                       min_strand, normalized_diagram, peel, recompose,
+                       min_strand, normalized_diagram, parse_table, peel, recompose,
                        smallest_integral, validate)
 from helpers import (chain_combination, random_chain, random_degree_sequence,
                      reference_decompose, reference_peel)
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 XY2 = {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}
 NONCM = {(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1}
@@ -429,6 +431,56 @@ def test_one_peel_can_empty_two_columns_down_to_their_next_degree():
     outcome, drops = recorded_drops(BettiTable(2, entries))
     assert [dropped for dropped, _ in drops] == [[(1, 1), (2, 2)], [(0, 0), (1, 2), (2, 4)]]
     assert [(c, s) for c, s, _ in outcome] == [(1, low), (1, high)]
+
+
+def test_the_dented_chain_is_refused_after_exactly_step_peels():
+    # the refusal comes before the strand that breaks the chain is peeled,
+    # not after the whole table has been
+    outcome, drops = recorded_drops(
+        parse_table((FIXTURES / "chain_v6_120_dented.bt").read_text()))
+    assert outcome[0] is NotInCone and outcome[1].startswith("step 80: ")
+    assert len(drops) == 80
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_a_refusal_comes_after_exactly_step_peels(seed):
+    outcome, drops = recorded_drops(random_betti_input(random.Random(seed)))
+    if isinstance(outcome, tuple) and issubclass(outcome[0], NotInCone):
+        assert outcome[1].startswith(f"step {len(drops)}: ")
+
+
+def read_strands(b):
+    """The strands ``decompose(b)`` reads, recorded by wrapping ``_strand_info``."""
+    original = betti_decomposition._strand_info
+    strands = []
+
+    def recording(minima, vars):
+        strands.append(original(minima, vars))
+        return strands[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(betti_decomposition, "_strand_info", recording)
+        betti_outcome(b, decompose, False)
+    return strands
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 48), st.booleans())
+def test_each_strand_starts_no_earlier_and_dominates_the_last(seed, chain):
+    # The two clauses of the fan order the greedy no longer checks: a peel
+    # only raises column minima and never refills a column.
+    rng = random.Random(seed)
+    if chain:
+        seqs = random_chain(rng, vars_count=rng.randint(1, 6), max_terms=6)
+        _, b = chain_combination(rng, seqs)
+    else:
+        b = random_betti_input(rng)
+    strands = read_strands(b)
+    for last, seq in zip(strands, strands[1:]):
+        assert seq.start >= last.start
+        for i in range(seq.start, min(last.end, seq.end) + 1):
+            assert seq.degrees[i - seq.start] >= last.degrees[i - last.start]
 
 
 def strand_table(rng):
