@@ -4,7 +4,8 @@ Mirrors the Betti-side greedy: read the staircase corners, subtract the
 largest multiple of the matching unit supernatural table that keeps the
 window nonnegative, and repeat, on the table widened by its tail cells.  A
 closed-form second difference oracle on P^1, on int numerators,
-cross-checks the whole pipeline.
+cross-checks the whole pipeline; its reader of the second differences also
+decides the extension candidates on P^1.
 """
 
 from fractions import Fraction
@@ -17,13 +18,21 @@ from .tables import Numerators, validate
 
 
 def peel_supernatural(g, roots):
-    """Largest q with g - q * sigma_roots nonnegative on the window, and
-    that remainder, whose tails are not checked.  g must be valid and its
-    window must hold the roots' staircase (WindowTooSmall otherwise).
+    """Largest q with g - q * sigma_roots nonnegative on g's window and the
+    n + 1 twists past each edge (``_valid``), and that remainder on g's
+    window.  g must be valid (InvalidTable otherwise) and its window must
+    hold the roots' staircase (WindowTooSmall otherwise), so past the window
+    the remainder is its chi's tails; NotInCone when it is not a valid table
+    (its chi's leading coefficient has turned negative).
     """
     _check_window(roots.roots, *g.window)
-    work = Numerators(g)
+    work = _valid(Numerators(g))
     q = _peel(work, roots)
+    work.window = lo, hi = g.window
+    work.entries = {key: v for key, v in work.entries.items() if lo <= key[1] <= hi}
+    problems = validate(work)
+    if problems:
+        raise NotInCone(0, f"the remainder is not a valid table: {'; '.join(problems)}")
     return Fraction(*q), work.table()
 
 
@@ -114,32 +123,39 @@ def p1_oracle(g):
 
     With T(j) = gamma_0(j) + gamma_1(j), a table in the cone satisfies
     T = sum m_f |j - f|, so m_f is half the second difference of T at f.
-    T is read off the widened form (``_valid``), and f runs one twist past
-    each edge of the table's window; further out T follows its linear tails.
-    Any negative second difference, or an Euler polynomial other than
-    sum m_f (x - f), means the table is outside the cone.  The check shares
-    no code with the greedy.  g may be given as its ``Numerators``, which is
+    ``_second_differences`` reads them off the widened form (``_valid``),
+    with their chi identity.  Any negative second difference, or a failed
+    identity, means the table is outside the cone.  The check shares no
+    code with the greedy.  g may be given as its ``Numerators``, which is
     widened in place.
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
     w = _valid(g)
-    lo, hi = w.window  # two twists past each edge of g's window
-
-    def T(j):  # numerator of T(j)
-        return w.entries.get((0, j), 0) + w.entries.get((1, j), 0)
-
-    mult = {}  # f -> 2 * den * m_f
-    for f in range(lo + 1, hi):
-        m = T(f + 1) - 2 * T(f) + T(f - 1)
+    diffs, reconstructs = _second_differences(w)
+    for f, m in diffs.items():
         if m < 0:
             raise NotInCone(0, f"negative second difference {w.fraction(m)} at j = {f}")
-        if m > 0:
-            mult[f] = m
-    # S = sum m_f |j - f| has T's second differences everywhere, and past
-    # the window S and T are the tails of their chi, so S = T iff the chi agree.
-    c0, c1 = w.chi
-    if (-sum(m * f for f, m in mult.items()), sum(mult.values())) != (2 * c0, 2 * c1):
+    if not reconstructs:
         raise NotInCone(0, "second differences do not reconstruct the table")
     return CohDecomposition(tuple((Fraction(m, 2 * w.den), RootSequence(1, (f,)))
-                                  for f, m in mult.items()))
+                                  for f, m in diffs.items() if m))
+
+
+def _second_differences(w):
+    """The second differences M_f = T(f + 1) - 2 T(f) + T(f - 1) of
+    T = row 0 + row 1 of a widened P^1 working form (``_valid``), as ints
+    (2 den m_f) for f strictly inside its window, in order; and whether
+    they satisfy the chi identity.
+
+    S = sum M_f |j - f| / (2 den) has T's second differences, and past the
+    window S and T are the tails of their chi, so S = T iff the chi agree:
+    (-sum f M_f, sum M_f) = 2 den (c_0, c_1).  The identity is read on the
+    signed M_f, so it also holds or fails for a table with a negative one.
+    """
+    lo, hi = w.window  # two twists past each edge of the table's window
+    entries = w.entries
+    T = [entries.get((0, j), 0) + entries.get((1, j), 0) for j in range(lo, hi + 1)]
+    diffs = {f: T[k + 1] - 2 * T[k] + T[k - 1] for k, f in enumerate(range(lo + 1, hi), 1)}
+    c0, c1 = w.chi
+    return diffs, (-sum(f * m for f, m in diffs.items()), sum(diffs.values())) == (2 * c0, 2 * c1)

@@ -3,16 +3,20 @@
 A short exact sequence 0 -> A -> E -> B -> 0 pins gamma(E) between the split
 sum and whatever the connecting maps H^i(B(j)) -> H^{i+1}(A(j)) cancel.  Each
 candidate pattern of connecting-map ranks produces one table; the feasible
-ones are those the greedy decomposition accepts as cone members, and they
-form the integer points of a polytope.
+ones are those in the cone, and they form the integer points of a polytope.
+On P^1 the cone is cut out by the second differences of row 0 + row 1 and
+one chi identity (``coh_decomposition._second_differences``), which the
+candidates are walked against without a greedy; on P^2 and P^3 the greedy
+decomposition decides each one.
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import product, tee
 from math import floor, gcd, prod
 from operator import mul
 
-from .coh_decomposition import _decompose, _valid
+from .coh_decomposition import _decompose, _second_differences, _valid
 from .errors import BoundViolation, BudgetExceeded, NotInCone
 from .tables import Numerators, _cleared, _union_cells, add_tables
 
@@ -85,12 +89,12 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     needs the latter.  Enumerations larger than ``budget`` raise
     BudgetExceeded before any work is done.
     """
-    return list(_candidates(A, B, mode, budget, serre_shift))
+    return list(_patterns(_groups(A, B, mode, budget, serre_shift)))
 
 
-def _candidates(A, B, mode, budget, serre_shift):
-    # enumerate_patterns' patterns as a lazy stream.  Its checks run on the
-    # call, not on the first draw, so they still come before the caller's.
+def _groups(A, B, mode, budget, serre_shift):
+    # The (keys, cap) groups of enumerate_patterns, each key of a group
+    # taking the group's value; its checks come before the caller's.
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
     if serre_shift and mode == "full":
@@ -108,6 +112,11 @@ def _candidates(A, B, mode, budget, serre_shift):
     volume = prod(cap + 1 for _, cap in groups)
     if volume > budget:
         raise BudgetExceeded(f"{volume} candidate patterns exceed budget {budget}")
+    return groups
+
+
+def _patterns(groups):
+    # The groups' candidate patterns as a lazy stream, lex by value vector.
     return ({key: v for (orbit, _), v in zip(groups, values) if v for key in orbit}
             for values in product(*(range(cap + 1) for _, cap in groups)))
 
@@ -120,27 +129,87 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     Only the split table (the all-zero pattern's) is validated: a
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
-    tails alone, so every cancelled table is valid too.  Each candidate is
-    decided as it is drawn, on its own copy of the split table's
-    ``Numerators`` widened once by ``_valid`` (all have that window, so
-    sigma's cells are built once per root sequence).  One in the cone is
-    cancelled again on the unwidened split table, so its table keeps the
-    split table's window, as ``apply_cancellation``'s does.
+    tails alone, so every cancelled table is valid too.  The split table's
+    ``Numerators`` are widened once by ``_valid``.  On P^1 the candidates
+    are decided by ``_p1_walk`` on its second differences, with no greedy;
+    on P^2 and P^3 each one runs the greedy on its own copy of the widened
+    table (all have that window, so sigma's cells are built once per root
+    sequence).  One in the cone is cancelled again on the unwidened split
+    table, so its table keeps the split table's window, as
+    ``apply_cancellation``'s does.
     """
-    patterns = _candidates(A, B, mode, budget, serre_shift)
+    groups = _groups(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
     wide = _valid(split.copy())
-    sigmas = {}
-    decided = []
-    for pattern in patterns:
-        try:
-            for _ in _decompose(_cancel(wide, pattern), sigmas):
-                pass
-        except NotInCone:
-            decided.append((pattern, None))
-        else:
-            decided.append((pattern, _cancel(split, pattern).table()))
-    return decided
+    patterns = _patterns(groups)
+    if wide.n == 1:
+        verdicts = _p1_walk(groups, wide)
+    else:
+        patterns, drawn = tee(patterns)
+        verdicts = map(partial(_accepts, wide, {}), drawn)
+    return [(pattern, _cancel(split, pattern).table() if in_cone else None)
+            for pattern, in_cone in zip(patterns, verdicts)]
+
+
+def _accepts(wide, sigmas, pattern):
+    # Whether the greedy empties the widened split table cancelled by pattern.
+    try:
+        for _ in _decompose(_cancel(wide, pattern), sigmas):
+            pass
+    except NotInCone:
+        return False
+    return True
+
+
+def _p1_walk(groups, wide):
+    """Whether each candidate of the groups is in the cone, in the order of
+    ``_patterns``, on P^1, from the widened split table's second
+    differences (``_second_differences``).
+
+    A cancellation of rank c at twist j lowers T = row 0 + row 1 by 2c at j
+    and nowhere else, so it shifts the second differences at j - 1, j and
+    j + 1 by (-2c, +4c, -2c).  These shifts have zero sum and zero first
+    moment, so they leave the chi identity as the split table has it.  The
+    box is walked as an odometer, the last group turning fastest: a group
+    that steps up shifts by its stencil, one that wraps back to 0 by its
+    cap times the opposite, and a count of the negative second differences
+    (plus one for a failed chi identity) decides each candidate in O(1)
+    amortized.
+    """
+    diffs, reconstructs = _second_differences(wide)
+    blocked = sum(m < 0 for m in diffs.values()) + (not reconstructs)
+    caps, stencils = [], []  # of the groups that can move
+    for keys, cap in groups:
+        if cap:
+            stencil = {}
+            for _, j in keys:
+                for f, w in ((j - 1, -2), (j, 4), (j + 1, -2)):
+                    stencil[f] = stencil.get(f, 0) + w * wide.den
+            caps.append(cap)
+            stencils.append(list(stencil.items()))
+    values = [0] * len(caps)
+    while True:
+        yield not blocked
+        k = len(caps) - 1
+        while k >= 0 and values[k] == caps[k]:
+            blocked += _shift(diffs, stencils[k], -caps[k])
+            values[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        blocked += _shift(diffs, stencils[k], 1)
+        values[k] += 1
+
+
+def _shift(diffs, stencil, times):
+    # Add times the stencil to the second differences; returns the change
+    # in their count of negatives.
+    change = 0
+    for f, w in stencil:
+        m = diffs[f]
+        diffs[f] = new = m + times * w
+        change += (new < 0) - (m < 0)
+    return change
 
 
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):

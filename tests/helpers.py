@@ -133,6 +133,18 @@ def root_chain_combination(rng, chain, slack=2):
 # library did before its arithmetic went sparse; the property tests check the
 # sparse code against them cell for cell.
 
+def chi_neutral_dent(rng, t):
+    """Lower rows i and i + 1 at one twist by the same amount: the Euler
+    polynomial is unchanged, positivity and staircase shape may not be."""
+    cells = [(i, j) for (i, j) in t.entries if i < t.n and (i + 1, j) in t.entries]
+    if not cells:
+        return t
+    i, j = rng.choice(cells)
+    cap = min(t.entries[(i, j)], t.entries[(i + 1, j)])
+    c = cap if rng.random() < 0.5 else cap * Fraction(rng.randint(1, 9), 10)
+    return combine(t, CohomologyTable(t.n, t.window, {(i, j): c, (i + 1, j): c}), -1)
+
+
 def _union(a, b):
     return min(a.window[0], b.window[0]), max(a.window[1], b.window[1])
 
@@ -409,6 +421,24 @@ def reference_peel_supernatural(g, roots):
     if q == 0:
         raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     return q, remainder
+
+
+def reference_widened_peel(g, roots):
+    """``peel_supernatural`` on ``Fraction`` tables: one
+    ``reference_peel_supernatural`` step on g with its cells n + 1 twists
+    past each window edge, cut back to g's window, and refused when
+    ``dense_validate`` finds the remainder invalid."""
+    supernatural_table(roots, 1, g.window)  # WindowTooSmall unless it holds the staircase
+    lo, hi = g.window
+    wide = (lo - g.n - 1, hi + g.n + 1)
+    q, rest = reference_peel_supernatural(CohomologyTable(g.n, wide, g.cells(*wide), g.chi),
+                                          roots)
+    rest = CohomologyTable(g.n, g.window, {(i, j): v for (i, j), v in rest.entries.items()
+                                           if lo <= j <= hi}, rest.chi)
+    problems = dense_validate(rest)
+    if problems:
+        raise NotInCone(0, f"the remainder is not a valid table: {'; '.join(problems)}")
+    return q, rest
 
 
 def reference_decompose_cohomology(g):

@@ -17,9 +17,9 @@ from betticone import (CohomologyTable, InvalidTable, NotInCone, NotStaircase,
                        peel_supernatural, scale, serialize_table,
                        supernatural_table, validate)
 from betticone.tables import combine
-from helpers import (random_root_chain, reference_decompose_cohomology,
-                     reference_p1_oracle, reference_peel_supernatural,
-                     root_chain_combination)
+from helpers import (chi_neutral_dent, random_root_chain,
+                     reference_decompose_cohomology, reference_p1_oracle,
+                     reference_widened_peel, root_chain_combination)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -212,24 +212,11 @@ def test_a_root_one_twist_past_the_window_is_decided(table):
         assert [(c, r.roots) for c, r in decomposer(t)] == [(1, (-1,))]
 
 
-def chi_neutral_dent(rng, t):
-    """Lower rows i and i + 1 at one twist by the same amount: the Euler
-    polynomial is unchanged, positivity and staircase shape may not be."""
-    cells = [(i, j) for (i, j) in t.entries if i < t.n and (i + 1, j) in t.entries]
-    if not cells:
-        return t
-    i, j = rng.choice(cells)
-    cap = min(t.entries[(i, j)], t.entries[(i + 1, j)])
-    c = cap if rng.random() < 0.5 else cap * F(rng.randint(1, 9), 10)
-    return combine(t, CohomologyTable(t.n, t.window, {(i, j): c, (i + 1, j): c}), -1)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 48), st.integers(0, 2))
 def test_every_peel_remainder_is_valid(seed, dents):
-    # peel_supernatural does not check the tails of its remainder past the
-    # window; everything else validate checks must follow from the input
-    # being valid
+    # the peel binds on the tail cells too, and refuses a remainder whose
+    # chi's leading coefficient has turned negative
     rng = random.Random(seed)
     _, work = root_chain_combination(rng, random_root_chain(rng, rng.randint(1, 3)))
     for _ in range(dents):
@@ -243,10 +230,31 @@ def test_every_peel_remainder_is_valid(seed, dents):
             _, work = peel_supernatural(work, corner_roots(work))
         except (NotInCone, WindowTooSmall):
             break
-        problems = validate(work)
-        assert all(p.startswith(("right tail", "left tail", "leading chi")) for p in problems)
-        if problems:
-            break
+        assert validate(work) == []
+
+
+def test_a_peel_binding_past_the_window_leaves_a_valid_remainder():
+    # A P^1 table on [-10, -2] with chi(j) = 77/2 + 7 j.  Its window alone
+    # allows 7 sigma_{-6}, which leaves chi = -7/2 and a negative right tail;
+    # the tail cell at j = -1 allows only 63/10.
+    t = random_greedy_input(random.Random(123))
+    assert t.window == (-10, -2) and t.chi == (F(77, 2), 7)
+    q, rest = peel_supernatural(t, RootSequence(1, (-6,)))
+    assert q == F(63, 10)
+    assert rest.window == t.window and rest.chi == (F(7, 10), F(7, 10))
+    assert validate(rest) == []
+
+
+def test_a_peel_whose_remainder_turns_its_lead_negative_is_refused():
+    # Every cell n + 1 twists past the window stays >= 0, yet the leading
+    # chi coefficient 3 - q / 2 of the remainder falls below 0.
+    entries = {(0, j): v for j, v in zip(range(1, 6), (7, 19, 37, 61, 91))}
+    entries |= {(2, j): v for j, v in zip(range(-5, 1), (61, 37, 19, 7, 1, 1))}
+    t = CohomologyTable(2, (-5, 5), entries, [1, 3, 3])
+    assert validate(t) == []
+    with pytest.raises(NotInCone, match="^step 0: the remainder is not a valid table: "
+                                         "leading chi coefficient -1/72 is negative$"):
+        peel_supernatural(t, RootSequence(2, (0, -1)))
 
 
 @pytest.mark.parametrize("table", [rank3_bundle, split_table, tail_guard_table])
@@ -538,7 +546,7 @@ def test_peel_supernatural_matches_the_fraction_peel(seed):
             return q, rest.window, rest.entries, rest.chi
         except (NotInCone, WindowTooSmall) as exc:
             return type(exc), str(exc)
-    assert peel(peel_supernatural) == peel(reference_peel_supernatural)
+    assert peel(peel_supernatural) == peel(reference_widened_peel)
 
 
 def test_a_refusal_names_the_peels_done_before_it(monkeypatch):

@@ -18,7 +18,8 @@ from betticone import (BoundViolation, BudgetExceeded, InvalidTable, NotInCone,
                        serialize_table, supernatural_table)
 from betticone.extension import decide_patterns
 from betticone.supernatural import CohDecomposition
-from helpers import _in_hull, random_point_set, reference_polytope_vertices
+from helpers import _in_hull, chi_neutral_dent, random_point_set
+from helpers import reference_polytope_vertices
 from helpers import caratheodory_inside, caratheodory_vertices
 from helpers import reference_separate
 
@@ -313,9 +314,14 @@ def test_candidates_are_cancelled_without_fraction_subtraction(monkeypatch):
     assert counts == {"__sub__": 0, "__rsub__": 0}
 
 
+def p2_pair():
+    # A rank-3 bundle and O(2) on P^2: 6 candidates, decided by the greedy.
+    return tuple(parse_table((FIXTURES / name).read_text())
+                 for name in ("pp2_rank3.ct", "p2_o_plus2.ct"))
+
+
 def test_sigma_cells_are_built_once_per_root_sequence(monkeypatch):
-    a, b = (parse_table((FIXTURES / name).read_text())
-            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    a, b = p2_pair()
     built = []
     cells = coh_decomposition._cells
 
@@ -391,10 +397,9 @@ def test_the_narrow_pair_is_decided_past_its_window():
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         monkeypatch):
     # One widened copy of the split table, one working copy of it per
-    # candidate, and a copy of the unwidened split table for each of the 55
+    # candidate, and a copy of the unwidened split table for each of the 3
     # candidates in the cone, which becomes its table.
-    a, b = (parse_table((FIXTURES / name).read_text())
-            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    a, b = p2_pair()
     calls = {"copy": 0, "CohDecomposition": 0}
     copy = tables.Numerators.copy
     init = CohDecomposition.__init__
@@ -409,9 +414,33 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
     monkeypatch.setattr(tables.Numerators, "copy", counted_copy)
     monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
     decided = decide_patterns(a, b)
+    assert len(decided) == 6
+    assert sum(table is not None for _, table in decided) == 3
+    assert calls == {"copy": 1 + 6 + 3, "CohDecomposition": 0}
+
+
+def test_the_p1_walk_runs_no_greedy(monkeypatch):
+    # One widened copy of the split table and one copy of the unwidened one
+    # for each of the 55 candidates in the cone; no peel, corner read or
+    # sigma cell.
+    a, b = (parse_table((FIXTURES / name).read_text())
+            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    calls = {"copy": 0, "_decompose": 0, "corner_roots": 0, "_cells": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+    monkeypatch.setattr(tables.Numerators, "copy", counting("copy", tables.Numerators.copy))
+    monkeypatch.setattr(extension, "_decompose", counting("_decompose", extension._decompose))
+    for name in ("corner_roots", "_cells"):
+        monkeypatch.setattr(coh_decomposition, name,
+                            counting(name, getattr(coh_decomposition, name)))
+    decided = decide_patterns(a, b)
     assert len(decided) == 396
     assert sum(table is not None for _, table in decided) == 55
-    assert calls == {"copy": 1 + 396 + 55, "CohDecomposition": 0}
+    assert calls == {"copy": 1 + 55, "_decompose": 0, "corner_roots": 0, "_cells": 0}
 
 
 def test_a_feasible_table_is_the_one_apply_cancellation_gives():
@@ -490,3 +519,73 @@ def test_most_random_p1_extensions_are_decided():
     decided = [_decided_or_none(*draw) for draw in draws]
     assert sum(d is not None for d in decided) > len(draws) // 2
     assert sum(len(d) for d in decided if d) > 1000
+
+
+def _random_narrow_p1_pair(rng):
+    """A and B sums of 1-2 line bundles times fractions on one P^1 window,
+    often narrower than a root's distance from it, A dented chi-neutrally
+    up to twice (so the split table may leave the cone), and a mode with a
+    serre shift."""
+    lo = rng.randint(-6, 0)
+    window = (lo, lo + rng.randint(0, 7))
+
+    def bundles(lo, hi):
+        return reduce(add_tables, [
+            scale(line_bundle_table(1, rng.randint(lo, hi), window),
+                  F(rng.randint(1, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2))])
+    # Lower degrees in A, so that most boxes are not empty.
+    a, b = bundles(-7, 3), bundles(-3, 7)
+    for _ in range(rng.randint(0, 2)):
+        a = chi_neutral_dent(rng, a)
+    if rng.random() < 0.5:
+        return a, b, "full", 0
+    return a, b, "serre-symmetric", rng.randint(-3, 3)
+
+
+def _walk_and_greedy(a, b, mode, shift):
+    # decide_patterns' verdicts, and the greedy's on each candidate cancelled
+    # on the widened split table; None when the pair is refused.
+    try:
+        decided = decide_patterns(a, b, mode, budget=2000, serre_shift=shift)
+    except (InvalidTable, BudgetExceeded):
+        return None
+    wide = coh_decomposition._valid(tables.Numerators(add_tables(a, b)))
+    greedy = []
+    for pattern in enumerate_patterns(a, b, mode, serre_shift=shift):
+        try:
+            for _ in coh_decomposition._decompose(extension._cancel(wide, pattern)):
+                pass
+        except NotInCone:
+            greedy.append(False)
+        else:
+            greedy.append(True)
+    return decided, greedy
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_the_p1_walk_agrees_with_the_greedy(seed):
+    a, b, mode, shift = _random_narrow_p1_pair(random.Random(seed))
+    both = _walk_and_greedy(a, b, mode, shift)
+    assume(both is not None)
+    decided, greedy = both
+    assert [table is not None for _, table in decided] == greedy
+    for pattern, table in decided:
+        if table is not None:
+            assert table == apply_cancellation(a, b, pattern), pattern
+
+
+def test_the_narrow_p1_draws_reach_both_verdicts():
+    # The agreement test above is not vacuous: most draws are decided, and
+    # both verdicts turn up, also past a narrow window and on dented splits.
+    verdicts = {True: 0, False: 0}
+    decided = 0
+    for seed in range(100):
+        both = _walk_and_greedy(*_random_narrow_p1_pair(random.Random(seed)))
+        if both is not None:
+            decided += 1
+            for in_cone in both[1]:
+                verdicts[in_cone] += 1
+    assert decided > 40
+    assert verdicts[True] > 40 and verdicts[False] > 1000

@@ -55,6 +55,10 @@ def _commands():
     # mode stands for it.
     commands.append(["ext-polytope", "fixtures/p1_o_minus5_narrow.ct",
                      "fixtures/p1_o_plus5_narrow.ct", "--symmetric"])
+    # A P^2 pair with a nonempty candidate box, decided by the greedy.
+    for flags in ([], ["--symmetric"]):
+        commands.append(["ext-polytope", "fixtures/pp2_rank3.ct", "fixtures/p2_o_plus2.ct",
+                         *flags])
     # Commands with inline arguments, some integers with signs or leading zeros.
     commands += [["stillman", "-e", "2", "-r", "3", "--p-max", "2"],
                  ["stillman", "-e", "2", "-r", "3", "--p-max", "2", "--tsv"],
