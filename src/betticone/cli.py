@@ -16,7 +16,7 @@ from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (_int, parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
-from .extension import cancellation_bounds, decide_patterns, polytope_vertices
+from .extension import _hull_vertices, decide_patterns
 from .stillman import scan
 from .supernatural import RootSequence, _integral_multiple, supernatural_table
 from .tables import BettiTable, CohomologyTable, Numerators, validate
@@ -65,7 +65,7 @@ def _parse_window_arg(text):
 
 
 def _fmt_seq(values):
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _term_line(coeff, diagram):
@@ -154,23 +154,20 @@ def _cmd_ext_polytope(args):
     if not (isinstance(A, CohomologyTable) and isinstance(B, CohomologyTable)):
         raise ParseError(0, "ext-polytope expects two cohomology table files")
     mode = "serre-symmetric" if args.symmetric else "full"
-    decided = decide_patterns(A, B, mode=mode, budget=args.max_points,
-                              serre_shift=args.serre_shift)
-    bounds = cancellation_bounds(A, B)
-    support = sorted(bounds)
-    caps = {key: int(bounds[key]) for key in support}
-    print("# support " + " ".join(f"({i},{j})" for i, j in support))
+    support, caps, rows = decide_patterns(A, B, mode=mode, budget=args.max_points,
+                                          serre_shift=args.serre_shift)
+    labels = [f"{i},{j}" for i, j in support]
+    print("# support " + " ".join(f"({label})" for label in labels))
     print("pattern\tfeasible\tbinding")
-    for pattern, table in decided:
-        vec = tuple(pattern.get(key, 0) for key in support)
-        ok = table is not None
-        binding = [f"{i},{j}" for (i, j) in support
-                   if pattern.get((i, j), 0) == caps[(i, j)] and caps[(i, j)] > 0]
-        print(f"{_fmt_seq(vec)}\t{'Y' if ok else 'N'}\t"
-              + (";".join(binding) if ok and binding else "-"))
-    feasible_patterns = [p for p, table in decided if table is not None]
-    for pattern in polytope_vertices(feasible_patterns, support):
-        print(f"vertex\t{_fmt_seq(pattern.get(key, 0) for key in support)}")
+    for vector, table in rows:
+        if table is None:
+            print(f"{_fmt_seq(vector)}\tN\t-")
+        else:  # a key binds at its own cap
+            binding = [label for label, v, cap in zip(labels, vector, caps) if v == cap > 0]
+            print(f"{_fmt_seq(vector)}\tY\t{';'.join(binding) or '-'}")
+    feasible = [vector for vector, table in rows if table is not None]
+    for k in _hull_vertices(feasible):
+        print(f"vertex\t{_fmt_seq(feasible[k])}")
     return 0
 
 

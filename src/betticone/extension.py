@@ -4,17 +4,19 @@ A short exact sequence 0 -> A -> E -> B -> 0 pins gamma(E) between the split
 sum and whatever the connecting maps H^i(B(j)) -> H^{i+1}(A(j)) cancel.  Each
 candidate pattern of connecting-map ranks produces one table; the feasible
 ones are those in the cone, and they form the integer points of a polytope.
-On P^1 the cone is cut out by the second differences of row 0 + row 1 and
-one chi identity (``coh_decomposition._second_differences``), which the
-candidates are walked against without a greedy; on P^2 and P^3 the greedy
-decomposition decides each one.
+The candidates are drawn as rank vectors over the sorted bound support from
+one lazy stream (``_vectors``), which every reader shares; patterns as dicts
+are built only by the public functions.  On P^1 the cone is cut out by the
+second differences of row 0 + row 1 and one chi identity
+(``coh_decomposition._second_differences``), which the candidates are walked
+against without a greedy; on P^2 and P^3 the greedy decomposition decides
+each one.
 """
 
 from fractions import Fraction
-from functools import partial
-from itertools import product, tee
+from itertools import compress, product, tee
 from math import floor, gcd, prod
-from operator import mul
+from operator import itemgetter, mul, ne
 
 from .coh_decomposition import _decompose, _second_differences, _valid
 from .errors import BoundViolation, BudgetExceeded, NotInCone
@@ -42,42 +44,43 @@ def apply_cancellation(A, B, pattern):
     for (i, j), v in sorted(pattern.items()):
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    return _cancel(Numerators(add_tables(A, B)), pattern).table()
+    return _cancel(Numerators(add_tables(A, B)), pattern.items()).table()
 
 
-def _cancel(split, pattern):
-    """A working copy of the split table's ``Numerators`` in which row i at
-    twist j and row i + 1 at twist j each lose the rank c_{i,j}, that is
-    c * den in numerators; a cell that reaches zero is dropped.  The ranks
-    are ints, or the caller's Fractions in ``apply_cancellation``, whose
-    ``table()`` reads them the same way."""
+def _cancel(split, ranks):
+    """A working copy of the split table's ``Numerators`` in which, for each
+    (key (i, j), rank c) of ``ranks``, row i at twist j and row i + 1 at
+    twist j each lose c, that is c * den in numerators; a cell that reaches
+    zero is dropped.  The ranks are ints, or the caller's Fractions in
+    ``apply_cancellation``, whose ``table()`` reads them the same way."""
     work = split.copy()
     entries, den = work.entries, split.den
-    for (i, j), c in pattern.items():
-        c *= den
-        for key in ((i, j), (i + 1, j)):
-            v = entries.get(key, 0) - c
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
+    for (i, j), c in ranks:
+        if c:
+            c *= den
+            for key in ((i, j), (i + 1, j)):
+                v = entries.get(key, 0) - c
+                if v:
+                    entries[key] = v
+                else:
+                    entries.pop(key, None)
     return work
 
 
-def _serre_orbits(support, n, shift):
-    # Pair (i, j) with (n-1-i, -n-1-j+shift); orbits sharing one rank value.
-    seen = set()
-    orbits = []
-    for key in sorted(support):
-        if key in seen:
-            continue
-        i, j = key
-        mirror = (n - 1 - i, -n - 1 - j + shift)
-        orbit = sorted({key, mirror} & set(support))
-        forced_zero = mirror not in support and mirror != key
-        seen.update(orbit)
-        orbits.append((orbit, forced_zero))
-    return orbits
+def _serre_groups(support, caps, n, shift):
+    # Each key's group and each group's cap in the symmetric mode: (i, j)
+    # shares its rank with its mirror (n-1-i, -n-1-j+shift), and is forced
+    # to 0 when the mirror is outside the support.
+    position = {key: k for k, key in enumerate(support)}
+    groups, group_caps = [None] * len(support), []
+    for k, (i, j) in enumerate(support):
+        if groups[k] is None:  # else its mirror came first
+            mirror = position.get((n - 1 - i, -n - 1 - j + shift))
+            groups[k] = len(group_caps)
+            if mirror is not None:
+                groups[mirror] = groups[k]
+            group_caps.append(0 if mirror is None else min(caps[k], caps[mirror]))
+    return groups, group_caps
 
 
 def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
@@ -89,158 +92,147 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     needs the latter.  Enumerations larger than ``budget`` raise
     BudgetExceeded before any work is done.
     """
-    return list(_patterns(_groups(A, B, mode, budget, serre_shift)))
+    support, _, groups, group_caps = _box(A, B, mode, budget, serre_shift)
+    return [_pattern(support, vector) for vector in _vectors(groups, group_caps)]
 
 
-def _groups(A, B, mode, budget, serre_shift):
-    # The (keys, cap) groups of enumerate_patterns, each key of a group
-    # taking the group's value; its checks come before the caller's.
+def _box(A, B, mode, budget, serre_shift):
+    """The candidate box: the sorted bound support, each key's cap, each
+    key's group (the keys of a group take one value) and each group's cap.
+    Its checks come before the caller's."""
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
     if serre_shift and mode == "full":
         raise ValueError(f"serre_shift {serre_shift} needs mode 'serre-symmetric'")
     bounds = cancellation_bounds(A, B)
     support = sorted(bounds)
-    caps = {key: floor(bounds[key]) for key in support}
-    if mode == "full":
-        groups = [([key], caps[key]) for key in support]
-    else:
-        groups = []
-        for orbit, forced_zero in _serre_orbits(support, A.n, serre_shift):
-            cap = 0 if forced_zero else min(caps[key] for key in orbit)
-            groups.append((orbit, cap))
-    volume = prod(cap + 1 for _, cap in groups)
+    caps = [floor(bounds[key]) for key in support]
+    groups, group_caps = ((range(len(support)), caps) if mode == "full"
+                          else _serre_groups(support, caps, A.n, serre_shift))
+    volume = prod(cap + 1 for cap in group_caps)
     if volume > budget:
         raise BudgetExceeded(f"{volume} candidate patterns exceed budget {budget}")
-    return groups
+    return support, caps, groups, group_caps
 
 
-def _patterns(groups):
-    # The groups' candidate patterns as a lazy stream, lex by value vector.
-    return ({key: v for (orbit, _), v in zip(groups, values) if v for key in orbit}
-            for values in product(*(range(cap + 1) for _, cap in groups)))
+def _vectors(groups, group_caps):
+    # The candidates as a lazy stream of rank vectors over the support, lex
+    # ordered: each group's first key precedes the next group's.
+    values = product(*(range(cap + 1) for cap in group_caps))
+    if len(group_caps) == len(groups):  # one key a group: the values are the vector
+        return values
+    return map(itemgetter(*groups), values)  # two keys or more: a tuple each
+
+
+def _pattern(support, vector):
+    # A rank vector as the public functions' pattern dict, without zeros.
+    return {key: v for key, v in zip(support, vector) if v}
 
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
-    """(pattern, extension table or None when it is outside the cone) for
-    every candidate, in enumeration order: lex by the pattern's value vector
-    over the bound support.
+    """(support, caps, rows): the sorted bound support, each key's rank cap,
+    and a row (vector, extension table or None when it is outside the cone)
+    for every candidate rank vector over the support, in enumeration order.
 
-    Only the split table (the all-zero pattern's) is validated: a
-    cancellation within the rank bounds is chi-neutral, keeps every entry
-    nonnegative, adds no cell and leaves the window, the edge cells and the
-    tails alone, so every cancelled table is valid too.  The split table's
-    ``Numerators`` are widened once by ``_valid``.  On P^1 the candidates
-    are decided by ``_p1_walk`` on its second differences, with no greedy;
-    on P^2 and P^3 each one runs the greedy on its own copy of the widened
-    table (all have that window, so sigma's cells are built once per root
-    sequence).  One in the cone is cancelled again on the unwidened split
-    table, so its table keeps the split table's window, as
+    Only the split table (the zero vector's) is validated: a cancellation
+    within the rank bounds is chi-neutral, keeps every entry nonnegative,
+    adds no cell and leaves the window, the edge cells and the tails alone,
+    so every cancelled table is valid too.  The split table's ``Numerators``
+    are widened once by ``_valid``.  The candidate stream is teed into the
+    rows and the verdicts, which read it in lockstep.  On P^1 the verdicts
+    come from ``_p1_walk`` on the second differences, with no greedy; on
+    P^2 and P^3 each candidate runs the greedy on its own copy of the
+    widened table (all have that window, so sigma's cells are built once
+    per root sequence).  One in the cone is cancelled again on the
+    unwidened split table, so its table keeps the split table's window, as
     ``apply_cancellation``'s does.
     """
-    groups = _groups(A, B, mode, budget, serre_shift)
+    support, caps, groups, group_caps = _box(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
     wide = _valid(split.copy())
-    patterns = _patterns(groups)
+    vectors, drawn = tee(_vectors(groups, group_caps))
     if wide.n == 1:
-        verdicts = _p1_walk(groups, wide)
+        verdicts = _p1_walk(wide, support, drawn)
     else:
-        patterns, drawn = tee(patterns)
-        verdicts = map(partial(_accepts, wide, {}), drawn)
-    return [(pattern, _cancel(split, pattern).table() if in_cone else None)
-            for pattern, in_cone in zip(patterns, verdicts)]
+        sigmas = {}
+        verdicts = (_accepts(wide, sigmas, zip(support, vector)) for vector in drawn)
+    return support, caps, [
+        (vector, _cancel(split, zip(support, vector)).table() if in_cone else None)
+        for vector, in_cone in zip(vectors, verdicts)]
 
 
-def _accepts(wide, sigmas, pattern):
-    # Whether the greedy empties the widened split table cancelled by pattern.
+def _accepts(wide, sigmas, ranks):
+    # Whether the greedy empties the widened split table cancelled by ranks.
     try:
-        for _ in _decompose(_cancel(wide, pattern), sigmas):
+        for _ in _decompose(_cancel(wide, ranks), sigmas):
             pass
     except NotInCone:
         return False
     return True
 
 
-def _p1_walk(groups, wide):
-    """Whether each candidate of the groups is in the cone, in the order of
-    ``_patterns``, on P^1, from the widened split table's second
-    differences (``_second_differences``).
+def _p1_walk(wide, support, vectors):
+    """Whether each rank vector over the support is in the cone, on P^1,
+    from the widened split table's second differences
+    (``_second_differences``).
 
     A cancellation of rank c at twist j lowers T = row 0 + row 1 by 2c at j
     and nowhere else, so it shifts the second differences at j - 1, j and
     j + 1 by (-2c, +4c, -2c).  These shifts have zero sum and zero first
-    moment, so they leave the chi identity as the split table has it.  The
-    box is walked as an odometer, the last group turning fastest: a group
-    that steps up shifts by its stencil, one that wraps back to 0 by its
-    cap times the opposite, and a count of the negative second differences
-    (plus one for a failed chi identity) decides each candidate in O(1)
-    amortized.
+    moment, so they leave the chi identity as the split table has it.  Each
+    vector is compared whole with the previous one (a group with cap 0
+    never moves, so the changed keys need not be a suffix); a key (0, j)
+    whose rank changed by d shifts them by d times that stencil, and a
+    count of the negative second differences (plus one for a failed chi
+    identity) decides the vector in one pass over it.
     """
     diffs, reconstructs = _second_differences(wide)
     blocked = sum(m < 0 for m in diffs.values()) + (not reconstructs)
-    caps, stencils = [], []  # of the groups that can move
-    for keys, cap in groups:
-        if cap:
-            stencil = {}
-            for _, j in keys:
-                for f, w in ((j - 1, -2), (j, 4), (j + 1, -2)):
-                    stencil[f] = stencil.get(f, 0) + w * wide.den
-            caps.append(cap)
-            stencils.append(list(stencil.items()))
-    values = [0] * len(caps)
-    while True:
+    previous = (0,) * len(support)
+    for vector in vectors:
+        for k in compress(range(len(support)), map(ne, vector, previous)):
+            j = support[k][1]
+            step = (vector[k] - previous[k]) * wide.den
+            for f, w in ((j - 1, -2), (j, 4), (j + 1, -2)):
+                m = diffs[f]
+                diffs[f] = shifted = m + w * step
+                blocked += (shifted < 0) - (m < 0)
+        previous = vector
         yield not blocked
-        k = len(caps) - 1
-        while k >= 0 and values[k] == caps[k]:
-            blocked += _shift(diffs, stencils[k], -caps[k])
-            values[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        blocked += _shift(diffs, stencils[k], 1)
-        values[k] += 1
-
-
-def _shift(diffs, stencil, times):
-    # Add times the stencil to the second differences; returns the change
-    # in their count of negatives.
-    change = 0
-    for f, w in stencil:
-        m = diffs[f]
-        diffs[f] = new = m + times * w
-        change += (new < 0) - (m < 0)
-    return change
 
 
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
-    """The (pattern, table) pairs of ``decide_patterns`` inside the cone."""
-    return [pair for pair in decide_patterns(A, B, mode, budget, serre_shift)
-            if pair[1] is not None]
-
-
-def _vector(pattern, support):
-    return tuple(pattern.get(key, 0) for key in support)
+    """The (pattern, table) pairs of the candidates inside the cone, in
+    enumeration order."""
+    support, _, rows = decide_patterns(A, B, mode, budget, serre_shift)
+    return [(_pattern(support, vector), table) for vector, table in rows
+            if table is not None]
 
 
 def polytope_vertices(patterns, support):
     """Extreme points of the convex hull of the given integer patterns, in
-    input order; of a point given twice, the last copy is kept.
+    input order; of a point given twice, the last copy is kept."""
+    vectors = [tuple(p.get(key, 0) for key in support) for p in patterns]
+    return [patterns[k] for k in _hull_vertices(vectors)]
+
+
+def _hull_vertices(vectors):
+    """The positions of the extreme points among the given integer vectors,
+    ascending; of a point given twice, the last copy's.
 
     Clarkson's method: each point is tested against the vertices found so
     far.  While it is separated from their hull by a direction a, the point
     maximizing (a.p, p, index) is added; it is the lex-largest point of the
     face maximizing a, so a vertex, and it lies outside the current hull.
     """
-    vectors = [_vector(p, support) for p in patterns]
-
     def top(a):
         return max(range(len(vectors)),
                    key=lambda k: (sum(map(mul, a, vectors[k])), vectors[k], k))
-    found = {top([0] * len(support))} if vectors else set()
+    found = {top([0] * len(vectors[0]))} if vectors else set()
     for vec in vectors:
         while (a := _separate(vec, [vectors[k] for k in found])) is not None:
             found.add(top(a))
-    return [patterns[k] for k in sorted(found)]
+    return sorted(found)
 
 
 def _separate(x, points):

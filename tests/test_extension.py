@@ -12,10 +12,11 @@ import betticone.extension as extension
 import betticone.tables as tables
 from betticone import (BoundViolation, BudgetExceeded, InvalidTable, NotInCone,
                        RootSequence, add_tables, apply_cancellation,
-                       cancellation_bounds, chi_eval, enumerate_patterns,
-                       feasible_set, line_bundle_table, p1_oracle, parse_table,
-                       polytope_vertices, pretty_cohomology, scale,
-                       serialize_table, supernatural_table)
+                       cancellation_bounds, chi_eval, decompose_cohomology,
+                       enumerate_patterns, feasible_set, line_bundle_table,
+                       p1_oracle, parse_table, polytope_vertices,
+                       pretty_cohomology, scale, serialize_table,
+                       supernatural_table)
 from betticone.extension import decide_patterns
 from betticone.supernatural import CohDecomposition
 from helpers import _in_hull, chi_neutral_dent, random_point_set
@@ -162,7 +163,7 @@ def test_parsing_and_cancelling_wrap_no_entries_again(monkeypatch):
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     parse_table((FIXTURES / "noncm.bt").read_text())
-    assert len(decide_patterns(a, b)) == 396
+    assert len(decide_patterns(a, b)[2]) == 396
     assert sum(wrapped) == 0
 
 
@@ -308,7 +309,7 @@ def test_candidates_are_cancelled_without_fraction_subtraction(monkeypatch):
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     counts = _counting_fraction_ops(monkeypatch, ["__sub__", "__rsub__"])
-    decided = decide_patterns(a, b)
+    _, _, decided = decide_patterns(a, b)
     assert len(decided) == 396
     assert sum(table is not None for _, table in decided) == 55
     assert counts == {"__sub__": 0, "__rsub__": 0}
@@ -374,7 +375,7 @@ def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
         post_init(self)
     monkeypatch.setattr(tables.Numerators, "__init__", counted_init)
     monkeypatch.setattr(RootSequence, "__post_init__", counted_post_init)
-    decided = decide_patterns(a, b)
+    _, _, decided = decide_patterns(a, b)
     assert sum(table is not None for _, table in decided) == 55
     assert calls == {"Numerators": 1, "RootSequence": 0}
 
@@ -384,10 +385,10 @@ def test_the_narrow_pair_is_decided_past_its_window():
     # window edge, and the greedy reads it off the widened table's tail.
     a = line_bundle_table(1, -5, (-3, 3))
     b = line_bundle_table(1, 5, (-3, 3))
-    decided = decide_patterns(a, b)
+    support, _, decided = decide_patterns(a, b)
     assert len(decided) == 14400
-    feasible = [pattern for pattern, table in decided if table is not None]
-    support = sorted(cancellation_bounds(a, b))
+    feasible = [dict(zip(support, vector)) for vector, table in decided if table is not None]
+    assert support == sorted(cancellation_bounds(a, b))
     assert [[p.get(key, 0) for key in support] for p in polytope_vertices(feasible, support)] \
         == [[2, 2, 2, 2, 2, 2, 1], [3, 3, 3, 3, 3, 2, 1], [3, 4, 4, 4, 3, 2, 1],
             [3, 4, 5, 4, 3, 2, 1]]
@@ -413,7 +414,7 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         init(self, *args, **kwargs)
     monkeypatch.setattr(tables.Numerators, "copy", counted_copy)
     monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
-    decided = decide_patterns(a, b)
+    _, _, decided = decide_patterns(a, b)
     assert len(decided) == 6
     assert sum(table is not None for _, table in decided) == 3
     assert calls == {"copy": 1 + 6 + 3, "CohDecomposition": 0}
@@ -437,7 +438,7 @@ def test_the_p1_walk_runs_no_greedy(monkeypatch):
     for name in ("corner_roots", "_cells"):
         monkeypatch.setattr(coh_decomposition, name,
                             counting(name, getattr(coh_decomposition, name)))
-    decided = decide_patterns(a, b)
+    _, _, decided = decide_patterns(a, b)
     assert len(decided) == 396
     assert sum(table is not None for _, table in decided) == 55
     assert calls == {"copy": 1 + 55, "_decompose": 0, "corner_roots": 0, "_cells": 0}
@@ -490,10 +491,12 @@ def _random_p1_extension(rng):
 
 
 def _decided_or_none(a, b, mode):
+    # decide_patterns' rows with each vector read as a pattern dict.
     try:
-        return decide_patterns(a, b, mode, budget=3000)
+        support, _, rows = decide_patterns(a, b, mode, budget=3000)
     except (InvalidTable, BudgetExceeded):
         return None
+    return [(dict(zip(support, vector)), table) for vector, table in rows]
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,14 +550,15 @@ def _walk_and_greedy(a, b, mode, shift):
     # decide_patterns' verdicts, and the greedy's on each candidate cancelled
     # on the widened split table; None when the pair is refused.
     try:
-        decided = decide_patterns(a, b, mode, budget=2000, serre_shift=shift)
+        support, _, rows = decide_patterns(a, b, mode, budget=2000, serre_shift=shift)
     except (InvalidTable, BudgetExceeded):
         return None
+    decided = [(dict(zip(support, vector)), table) for vector, table in rows]
     wide = coh_decomposition._valid(tables.Numerators(add_tables(a, b)))
     greedy = []
     for pattern in enumerate_patterns(a, b, mode, serre_shift=shift):
         try:
-            for _ in coh_decomposition._decompose(extension._cancel(wide, pattern)):
+            for _ in coh_decomposition._decompose(extension._cancel(wide, pattern.items())):
                 pass
         except NotInCone:
             greedy.append(False)
@@ -589,3 +593,68 @@ def test_the_narrow_p1_draws_reach_both_verdicts():
                 verdicts[in_cone] += 1
     assert decided > 40
     assert verdicts[True] > 40 and verdicts[False] > 1000
+
+
+def _random_p2_extension(rng):
+    """A and B sums of 1-2 supernatural tables on P^2 over (-6, 4) times
+    fractions, and a mode with a serre shift."""
+    def sheaf():
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            f1 = rng.randint(-4, 2)
+            f2 = rng.randint(-5, f1 - 1)
+            terms.append(supernatural_table(RootSequence(2, (f1, f2)),
+                                            F(rng.randint(1, 4), rng.randint(1, 2)), (-6, 4)))
+        return reduce(add_tables, terms)
+    a, b = sheaf(), sheaf()
+    if rng.random() < 0.5:
+        return a, b, "full", 0
+    return a, b, "serre-symmetric", rng.randint(-3, 3)
+
+
+def _p2_rows_or_none(a, b, mode, shift):
+    # decide_patterns' rows checked against the public functions and against
+    # decompose_cohomology on each cancelled table; None when the pair is
+    # refused.
+    try:
+        support, _, rows = decide_patterns(a, b, mode, budget=300, serre_shift=shift)
+    except (InvalidTable, BudgetExceeded):
+        return None
+    patterns = enumerate_patterns(a, b, mode, serre_shift=shift)
+    assert [{key: v for key, v in zip(support, vector) if v} for vector, _ in rows] \
+        == patterns
+    for pattern, (_, table) in zip(patterns, rows):
+        cancelled = apply_cancellation(a, b, pattern)
+        try:
+            decompose_cohomology(cancelled)
+        except NotInCone:
+            assert table is None, pattern
+        else:
+            assert table == cancelled, pattern
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_the_p2_greedy_rows_match_the_patterns_and_their_tables(seed):
+    a, b, mode, shift = _random_p2_extension(random.Random(seed))
+    assume(_p2_rows_or_none(a, b, mode, shift) is not None)
+
+
+def test_the_p2_draws_reach_both_verdicts_in_both_modes():
+    # The test above is not vacuous: most draws are decided, boxes with more
+    # than one candidate turn up in both modes, and so do both verdicts.
+    boxes = {"full": 0, "serre-symmetric": 0}
+    verdicts = {True: 0, False: 0}
+    decided = 0
+    for seed in range(300):
+        a, b, mode, shift = _random_p2_extension(random.Random(seed))
+        rows = _p2_rows_or_none(a, b, mode, shift)
+        if rows is not None:
+            decided += 1
+            boxes[mode] += len(rows) > 1
+            for _, table in rows:
+                verdicts[table is not None] += 1
+    assert decided > 250
+    assert boxes["full"] > 20 and boxes["serre-symmetric"] > 4
+    assert verdicts[True] > 300 and verdicts[False] > 1000

@@ -55,6 +55,11 @@ def _commands():
     # mode stands for it.
     commands.append(["ext-polytope", "fixtures/p1_o_minus5_narrow.ct",
                      "fixtures/p1_o_plus5_narrow.ct", "--symmetric"])
+    # A symmetric pair whose orbit {(0,-2), (0,0)} has caps 12 and 5: a row
+    # at the shared value 5 binds (0,0) alone; (0,-4) and (0,-3) are forced
+    # to zero.
+    commands.append(["ext-polytope", "fixtures/p1_split.ct",
+                     "fixtures/p1_corner_past_window.ct", "--symmetric"])
     # A P^2 pair with a nonempty candidate box, decided by the greedy.
     for flags in ([], ["--symmetric"]):
         commands.append(["ext-polytope", "fixtures/pp2_rank3.ct", "fixtures/p2_o_plus2.ct",
