@@ -154,18 +154,19 @@ def _cmd_ext_polytope(args):
     if not (isinstance(A, CohomologyTable) and isinstance(B, CohomologyTable)):
         raise ParseError(0, "ext-polytope expects two cohomology table files")
     mode = "serre-symmetric" if args.symmetric else "full"
-    support, caps, rows = decide_patterns(A, B, mode=mode, budget=args.max_points,
-                                          serre_shift=args.serre_shift)
+    support, caps, _, rows = decide_patterns(A, B, mode=mode, budget=args.max_points,
+                                             serre_shift=args.serre_shift)
     labels = [f"{i},{j}" for i, j in support]
     print("# support " + " ".join(f"({label})" for label in labels))
     print("pattern\tfeasible\tbinding")
-    for vector, table in rows:
-        if table is None:
-            print(f"{_fmt_seq(vector)}\tN\t-")
-        else:  # a key binds at its own cap
+    feasible = []  # each row is printed as it is decided; only these are kept
+    for vector, in_cone in rows:
+        if in_cone:  # a key binds at its own cap
+            feasible.append(vector)
             binding = [label for label, v, cap in zip(labels, vector, caps) if v == cap > 0]
             print(f"{_fmt_seq(vector)}\tY\t{';'.join(binding) or '-'}")
-    feasible = [vector for vector, table in rows if table is not None]
+        else:
+            print(f"{_fmt_seq(vector)}\tN\t-")
     for k in _hull_vertices(feasible):
         print(f"vertex\t{_fmt_seq(feasible[k])}")
     return 0

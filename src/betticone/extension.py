@@ -5,16 +5,17 @@ sum and whatever the connecting maps H^i(B(j)) -> H^{i+1}(A(j)) cancel.  Each
 candidate pattern of connecting-map ranks produces one table; the feasible
 ones are those in the cone, and they form the integer points of a polytope.
 The candidates are drawn as rank vectors over the sorted bound support from
-one lazy stream (``_vectors``), which every reader shares; patterns as dicts
-are built only by the public functions.  On P^1 the cone is cut out by the
-second differences of row 0 + row 1 and one chi identity
+one lazy stream (``_vectors``), and ``decide_patterns`` turns it into a lazy
+stream of (vector, verdict) rows; patterns as dicts and cancelled tables are
+built only by the public functions.  On P^1 the cone is cut out by the
+signs of the second differences of row 0 + row 1
 (``coh_decomposition._second_differences``), which the candidates are walked
 against without a greedy; on P^2 and P^3 the greedy decomposition decides
 each one.
 """
 
 from fractions import Fraction
-from itertools import compress, product, tee
+from itertools import compress, product
 from math import floor, gcd, prod
 from operator import itemgetter, mul, ne
 
@@ -130,64 +131,59 @@ def _pattern(support, vector):
 
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
-    """(support, caps, rows): the sorted bound support, each key's rank cap,
-    and a row (vector, extension table or None when it is outside the cone)
-    for every candidate rank vector over the support, in enumeration order.
+    """(support, caps, split, rows): the sorted bound support, each key's
+    rank cap, the split table's ``Numerators``, and a lazy stream of rows
+    (vector, in_cone), one for every candidate rank vector over the
+    support, in enumeration order.
 
-    Only the split table (the zero vector's) is validated: a cancellation
-    within the rank bounds is chi-neutral, keeps every entry nonnegative,
-    adds no cell and leaves the window, the edge cells and the tails alone,
-    so every cancelled table is valid too.  The split table's ``Numerators``
-    are widened once by ``_valid``.  The candidate stream is teed into the
-    rows and the verdicts, which read it in lockstep.  On P^1 the verdicts
-    come from ``_p1_walk`` on the second differences, with no greedy; on
-    P^2 and P^3 each candidate runs the greedy on its own copy of the
-    widened table (all have that window, so sigma's cells are built once
-    per root sequence).  One in the cone is cancelled again on the
-    unwidened split table, so its table keeps the split table's window, as
-    ``apply_cancellation``'s does.
+    Every check runs here, before any row is drawn: the box's (``_box``),
+    then the split table's validation.  No candidate needs its own: a
+    cancellation within the rank bounds is chi-neutral, keeps every entry
+    nonnegative, adds no cell and leaves the window, the edge cells and the
+    tails alone, so every cancelled table is valid too, and drawing the
+    rows raises nothing.  The split table is widened once, on a copy, by
+    ``_valid``.  On P^1 the verdicts come from ``_p1_walk`` on the second
+    differences, with no greedy; on P^2 and P^3 from ``_greedy``.  No table
+    is built: a reader that wants one cancels the vector on ``split``, as
+    ``feasible_set`` does, so it keeps the split table's window.
     """
     support, caps, groups, group_caps = _box(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
     wide = _valid(split.copy())
-    vectors, drawn = tee(_vectors(groups, group_caps))
-    if wide.n == 1:
-        verdicts = _p1_walk(wide, support, drawn)
-    else:
-        sigmas = {}
-        verdicts = (_accepts(wide, sigmas, zip(support, vector)) for vector in drawn)
-    return support, caps, [
-        (vector, _cancel(split, zip(support, vector)).table() if in_cone else None)
-        for vector, in_cone in zip(vectors, verdicts)]
+    decide = _p1_walk if wide.n == 1 else _greedy
+    return support, caps, split, decide(wide, support, _vectors(groups, group_caps))
 
 
-def _accepts(wide, sigmas, ranks):
-    # Whether the greedy empties the widened split table cancelled by ranks.
-    try:
-        for _ in _decompose(_cancel(wide, ranks), sigmas):
-            pass
-    except NotInCone:
-        return False
-    return True
+def _greedy(wide, support, vectors):
+    # Each rank vector with whether the greedy empties the widened split
+    # table cancelled by it, each on its own copy.  All have that window,
+    # so sigma's cells are built once per root sequence.
+    sigmas = {}
+    for vector in vectors:
+        try:
+            for _ in _decompose(_cancel(wide, zip(support, vector)), sigmas):
+                pass
+        except NotInCone:
+            yield vector, False
+        else:
+            yield vector, True
 
 
 def _p1_walk(wide, support, vectors):
-    """Whether each rank vector over the support is in the cone, on P^1,
-    from the widened split table's second differences
-    (``_second_differences``).
+    """Each rank vector over the support with whether it is in the cone, on
+    P^1: whether every second difference M_f of the widened split table
+    cancelled by it is nonnegative (``_second_differences``).
 
     A cancellation of rank c at twist j lowers T = row 0 + row 1 by 2c at j
     and nowhere else, so it shifts the second differences at j - 1, j and
-    j + 1 by (-2c, +4c, -2c).  These shifts have zero sum and zero first
-    moment, so they leave the chi identity as the split table has it.  Each
-    vector is compared whole with the previous one (a group with cap 0
-    never moves, so the changed keys need not be a suffix); a key (0, j)
-    whose rank changed by d shifts them by d times that stencil, and a
-    count of the negative second differences (plus one for a failed chi
-    identity) decides the vector in one pass over it.
+    j + 1 by (-2c, +4c, -2c).  Each vector is compared whole with the
+    previous one (a group with cap 0 never moves, so the changed keys need
+    not be a suffix); a key (0, j) whose rank changed by d shifts them by d
+    times that stencil, and a count of the negative second differences
+    decides the vector in one pass over it.
     """
-    diffs, reconstructs = _second_differences(wide)
-    blocked = sum(m < 0 for m in diffs.values()) + (not reconstructs)
+    diffs = _second_differences(wide)
+    blocked = sum(m < 0 for m in diffs.values())
     previous = (0,) * len(support)
     for vector in vectors:
         for k in compress(range(len(support)), map(ne, vector, previous)):
@@ -198,15 +194,16 @@ def _p1_walk(wide, support, vectors):
                 diffs[f] = shifted = m + w * step
                 blocked += (shifted < 0) - (m < 0)
         previous = vector
-        yield not blocked
+        yield vector, not blocked
 
 
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """The (pattern, table) pairs of the candidates inside the cone, in
-    enumeration order."""
-    support, _, rows = decide_patterns(A, B, mode, budget, serre_shift)
-    return [(_pattern(support, vector), table) for vector, table in rows
-            if table is not None]
+    enumeration order; each table is its vector cancelled on the split
+    table."""
+    support, _, split, rows = decide_patterns(A, B, mode, budget, serre_shift)
+    return [(_pattern(support, vector), _cancel(split, zip(support, vector)).table())
+            for vector, in_cone in rows if in_cone]
 
 
 def polytope_vertices(patterns, support):

@@ -322,6 +322,52 @@ def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):
     assert bounds_calls == 1
 
 
+def test_ext_polytope_builds_no_candidate_table(monkeypatch, capsys):
+    # The CLI prints each row from its verdict: one widened copy of the
+    # split table, and neither a cancelled copy nor a table.  feasible_set,
+    # which returns the tables, cancels each of the 55 in the cone on the
+    # split table.
+    paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
+    a, b = map(cli._load, paths)
+    calls = dict.fromkeys(["copy", "table", "_cancel"], 0)
+    for owner, name in ((tables.Numerators, "copy"), (tables.Numerators, "table"),
+                        (extension, "_cancel")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    code, out, _ = run_cli(capsys, "ext-polytope", *paths)
+    assert code == 0 and out.count("\tY\t") == 55
+    assert calls == {"copy": 1, "table": 0, "_cancel": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(extension.feasible_set(a, b)) == 55
+    assert calls == {"copy": 1 + 55, "table": 55, "_cancel": 55}
+
+
+def test_ext_polytope_prints_each_row_as_it_is_decided(monkeypatch):
+    # Before the P^1 walk yields its last row, the CLI has written its
+    # header and every row before it.
+    walk = extension._p1_walk
+    out = io.StringIO()
+    written = []
+
+    def watched(*args):
+        rows = list(walk(*args))
+        for k, row in enumerate(rows, 1):
+            if k == len(rows):
+                written.append(out.getvalue().splitlines())
+            yield row
+    monkeypatch.setattr(extension, "_p1_walk", watched)
+    paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
+    with contextlib.redirect_stdout(out):
+        assert main(["ext-polytope", *paths]) == 0
+    [before] = written
+    lines = out.getvalue().splitlines()
+    assert lines[1] == "pattern\tfeasible\tbinding"
+    assert sum(not line.startswith("vertex\t") for line in lines) == 2 + 396
+    assert before == lines[:2 + 395]
+
+
 def test_a_serre_shift_without_symmetric_is_a_usage_error(capsys):
     paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
     assert run_cli(capsys, "ext-polytope", *paths, "--serre-shift", "3") == (

@@ -630,6 +630,34 @@ def test_integral_multiples_build_no_supernatural_table(monkeypatch, tmp_path, c
     assert calls == []
 
 
+def random_p1_form(rng):
+    """Any P^1 table, valid or not: up to 30 entries on rows -1..2 at twists
+    in and just past a window 1-13 wide, entries and chi possibly negative
+    or fractional."""
+    def number():
+        return F(rng.randint(-20, 20), rng.randint(1, 6))
+    lo = rng.randint(-10, 10)
+    hi = lo + rng.randint(0, 12)
+    entries = {(rng.randint(-1, 2), rng.randint(lo - 1, hi + 1)): number()
+               for _ in range(rng.randint(0, 30))}
+    return CohomologyTable(1, (lo, hi), entries, [number(), number()])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_the_second_differences_always_reconstruct_chi(seed):
+    # Widened as _valid widens, without its validation, the second
+    # differences M_f satisfy (-sum f M_f, sum M_f) = 2 den (c_0, c_1) on
+    # every form, so the P^1 verdict needs nothing but their signs.
+    w = tables.Numerators(random_p1_form(random.Random(seed)))
+    lo, hi = w.window
+    w.entries, w.window = w.cells(lo - 2, hi + 2), (lo - 2, hi + 2)
+    diffs = coh_decomposition._second_differences(w)
+    c0, c1 = w.chi
+    assert sum(diffs.values()) == 2 * c1
+    assert -sum(f * m for f, m in diffs.items()) == 2 * c0
+
+
 def test_oracle_refuses_tables_off_p1():
     with pytest.raises(ValueError, match="^oracle only applies on P\\^1, got n = 2$"):
         p1_oracle(line_bundle_table(2, 0, (-4, 2)))

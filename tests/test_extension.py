@@ -34,6 +34,17 @@ def pair():
     return a, b
 
 
+def rows_with_tables(a, b, *args, **kwargs):
+    """(support, rows): decide_patterns' support and its rows drawn into a
+    list, each with feasible_set's table in place of its verdict, or None
+    outside the cone."""
+    support, _, _, rows = decide_patterns(a, b, *args, **kwargs)
+    rows = list(rows)
+    feasible = iter(feasible_set(a, b, *args, **kwargs))
+    return support, [(vector, next(feasible)[1] if in_cone else None)
+                     for vector, in_cone in rows]
+
+
 def test_bounds_triangle():
     a, b = pair()
     assert cancellation_bounds(a, b) == {(0, -2): 5, (0, -1): 10, (0, 0): 5}
@@ -163,7 +174,7 @@ def test_parsing_and_cancelling_wrap_no_entries_again(monkeypatch):
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     parse_table((FIXTURES / "noncm.bt").read_text())
-    assert len(decide_patterns(a, b)[2]) == 396
+    assert len(rows_with_tables(a, b)[1]) == 396
     assert sum(wrapped) == 0
 
 
@@ -309,9 +320,9 @@ def test_candidates_are_cancelled_without_fraction_subtraction(monkeypatch):
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     counts = _counting_fraction_ops(monkeypatch, ["__sub__", "__rsub__"])
-    _, _, decided = decide_patterns(a, b)
-    assert len(decided) == 396
-    assert sum(table is not None for _, table in decided) == 55
+    _, rows = rows_with_tables(a, b)
+    assert len(rows) == 396
+    assert sum(table is not None for _, table in rows) == 55
     assert counts == {"__sub__": 0, "__rsub__": 0}
 
 
@@ -330,7 +341,7 @@ def test_sigma_cells_are_built_once_per_root_sequence(monkeypatch):
         built.append((f, lo, hi))
         return cells(f, lo, hi)
     monkeypatch.setattr(coh_decomposition, "_cells", counted)
-    decide_patterns(a, b)
+    list(decide_patterns(a, b)[3])
     assert len(built) > 1
     assert len(set(built)) == len(built)
 
@@ -375,8 +386,8 @@ def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
         post_init(self)
     monkeypatch.setattr(tables.Numerators, "__init__", counted_init)
     monkeypatch.setattr(RootSequence, "__post_init__", counted_post_init)
-    _, _, decided = decide_patterns(a, b)
-    assert sum(table is not None for _, table in decided) == 55
+    _, _, _, rows = decide_patterns(a, b)
+    assert sum(in_cone for _, in_cone in rows) == 55
     assert calls == {"Numerators": 1, "RootSequence": 0}
 
 
@@ -385,9 +396,9 @@ def test_the_narrow_pair_is_decided_past_its_window():
     # window edge, and the greedy reads it off the widened table's tail.
     a = line_bundle_table(1, -5, (-3, 3))
     b = line_bundle_table(1, 5, (-3, 3))
-    support, _, decided = decide_patterns(a, b)
-    assert len(decided) == 14400
-    feasible = [dict(zip(support, vector)) for vector, table in decided if table is not None]
+    support, rows = rows_with_tables(a, b)
+    assert len(rows) == 14400
+    feasible = [dict(zip(support, vector)) for vector, table in rows if table is not None]
     assert support == sorted(cancellation_bounds(a, b))
     assert [[p.get(key, 0) for key in support] for p in polytope_vertices(feasible, support)] \
         == [[2, 2, 2, 2, 2, 2, 1], [3, 3, 3, 3, 3, 2, 1], [3, 4, 4, 4, 3, 2, 1],
@@ -397,9 +408,9 @@ def test_the_narrow_pair_is_decided_past_its_window():
 
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         monkeypatch):
-    # One widened copy of the split table, one working copy of it per
-    # candidate, and a copy of the unwidened split table for each of the 3
-    # candidates in the cone, which becomes its table.
+    # One widened copy of the split table and one working copy of it per
+    # candidate; feasible_set adds a copy of the unwidened split table for
+    # each of the 3 candidates in the cone, which becomes its table.
     a, b = p2_pair()
     calls = {"copy": 0, "CohDecomposition": 0}
     copy = tables.Numerators.copy
@@ -414,16 +425,19 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         init(self, *args, **kwargs)
     monkeypatch.setattr(tables.Numerators, "copy", counted_copy)
     monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
-    _, _, decided = decide_patterns(a, b)
-    assert len(decided) == 6
-    assert sum(table is not None for _, table in decided) == 3
+    rows = list(decide_patterns(a, b)[3])
+    assert len(rows) == 6
+    assert sum(in_cone for _, in_cone in rows) == 3
+    assert calls == {"copy": 1 + 6, "CohDecomposition": 0}
+    calls["copy"] = 0
+    assert len(feasible_set(a, b)) == 3
     assert calls == {"copy": 1 + 6 + 3, "CohDecomposition": 0}
 
 
 def test_the_p1_walk_runs_no_greedy(monkeypatch):
-    # One widened copy of the split table and one copy of the unwidened one
-    # for each of the 55 candidates in the cone; no peel, corner read or
-    # sigma cell.
+    # One widened copy of the split table, and in feasible_set one copy of
+    # the unwidened one for each of the 55 candidates in the cone; no peel,
+    # corner read or sigma cell.
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     calls = {"copy": 0, "_decompose": 0, "corner_roots": 0, "_cells": 0}
@@ -438,9 +452,12 @@ def test_the_p1_walk_runs_no_greedy(monkeypatch):
     for name in ("corner_roots", "_cells"):
         monkeypatch.setattr(coh_decomposition, name,
                             counting(name, getattr(coh_decomposition, name)))
-    _, _, decided = decide_patterns(a, b)
-    assert len(decided) == 396
-    assert sum(table is not None for _, table in decided) == 55
+    rows = list(decide_patterns(a, b)[3])
+    assert len(rows) == 396
+    assert sum(in_cone for _, in_cone in rows) == 55
+    assert calls == {"copy": 1, "_decompose": 0, "corner_roots": 0, "_cells": 0}
+    calls["copy"] = 0
+    assert len(feasible_set(a, b)) == 55
     assert calls == {"copy": 1 + 55, "_decompose": 0, "corner_roots": 0, "_cells": 0}
 
 
@@ -473,7 +490,7 @@ def test_the_budget_is_checked_before_the_split_table():
 def test_a_serre_shift_needs_the_symmetric_mode():
     a, b = pair()
     message = "^serre_shift 3 needs mode 'serre-symmetric'$"
-    for run in (enumerate_patterns, decide_patterns, feasible_set):
+    for run in (enumerate_patterns, rows_with_tables, feasible_set):
         with pytest.raises(ValueError, match=message):
             run(a, b, serre_shift=3)
         assert run(a, b, serre_shift=-0) == run(a, b)
@@ -491,9 +508,9 @@ def _random_p1_extension(rng):
 
 
 def _decided_or_none(a, b, mode):
-    # decide_patterns' rows with each vector read as a pattern dict.
+    # rows_with_tables' rows with each vector read as a pattern dict.
     try:
-        support, _, rows = decide_patterns(a, b, mode, budget=3000)
+        support, rows = rows_with_tables(a, b, mode, budget=3000)
     except (InvalidTable, BudgetExceeded):
         return None
     return [(dict(zip(support, vector)), table) for vector, table in rows]
@@ -547,10 +564,10 @@ def _random_narrow_p1_pair(rng):
 
 
 def _walk_and_greedy(a, b, mode, shift):
-    # decide_patterns' verdicts, and the greedy's on each candidate cancelled
+    # rows_with_tables' rows, and the greedy's verdict on each candidate cancelled
     # on the widened split table; None when the pair is refused.
     try:
-        support, _, rows = decide_patterns(a, b, mode, budget=2000, serre_shift=shift)
+        support, rows = rows_with_tables(a, b, mode, budget=2000, serre_shift=shift)
     except (InvalidTable, BudgetExceeded):
         return None
     decided = [(dict(zip(support, vector)), table) for vector, table in rows]
@@ -613,11 +630,11 @@ def _random_p2_extension(rng):
 
 
 def _p2_rows_or_none(a, b, mode, shift):
-    # decide_patterns' rows checked against the public functions and against
+    # rows_with_tables' rows checked against the public functions and against
     # decompose_cohomology on each cancelled table; None when the pair is
     # refused.
     try:
-        support, _, rows = decide_patterns(a, b, mode, budget=300, serre_shift=shift)
+        support, rows = rows_with_tables(a, b, mode, budget=300, serre_shift=shift)
     except (InvalidTable, BudgetExceeded):
         return None
     patterns = enumerate_patterns(a, b, mode, serre_shift=shift)
