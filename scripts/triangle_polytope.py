@@ -3,10 +3,10 @@
 
 Serre-symmetric cancellation patterns are parametrized by (a, b) with
 a = c_{0,-k} = c_{0,k-2} and b = c_{0,-1}.  The script prints which integer
-points survive the cone membership test (the greedy decomposition), the
-supernatural multiplicities at each feasible point, and the polytope's
-vertices.  With the defaults (k = 2, m = 5) the answer is the triangle
-a <= b <= 2a, a <= 5.
+points survive the cone membership test (on P^1, the signs of the second
+differences of row 0 + row 1), the supernatural multiplicities at each
+feasible point, and the polytope's vertices.  With the defaults (k = 2,
+m = 5) the answer is the triangle a <= b <= 2a, a <= 5.
 """
 
 import argparse

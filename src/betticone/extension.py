@@ -20,8 +20,8 @@ from math import floor, gcd, prod
 from operator import itemgetter, mul, ne
 
 from .coh_decomposition import _decompose, _second_differences, _valid
-from .errors import BoundViolation, BudgetExceeded, NotInCone
-from .tables import Numerators, _cleared, _union_cells, add_tables
+from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
+from .tables import Numerators, _cleared, _entry_violations, _union_cells, add_tables
 
 
 def cancellation_bounds(A, B):
@@ -100,12 +100,21 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
 def _box(A, B, mode, budget, serre_shift):
     """The candidate box: the sorted bound support, each key's cap, each
     key's group (the keys of a group take one value) and each group's cap.
-    Its checks come before the caller's."""
+    Its checks come before the caller's.  An entry of A or B that is not
+    positive or lies outside its rows or window is refused (InvalidTable,
+    in ``validate``'s words), since the bounds read both tables through
+    ``cells``, which drop it; their Euler identity and tails are not
+    checked here."""
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
     if serre_shift and mode == "full":
         raise ValueError(f"serre_shift {serre_shift} needs mode 'serre-symmetric'")
     bounds = cancellation_bounds(A, B)
+    violations = [f"{name}: {text}" for name, t in (("A", A), ("B", B))
+                  for (i, j), v in sorted(t.entries.items())
+                  for text in _entry_violations(i, j, v, t.n, *t.window, Fraction)]
+    if violations:
+        raise InvalidTable(violations)
     support = sorted(bounds)
     caps = [floor(bounds[key]) for key in support]
     groups, group_caps = ((range(len(support)), caps) if mode == "full"

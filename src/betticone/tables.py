@@ -30,6 +30,7 @@ keeps each peel O(strand).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -46,10 +47,11 @@ class Record:
     """Base of the package's small immutable value types.
 
     A subclass names its fields, in order, as ``__slots__``.  They are set
-    positionally or by keyword, then ``__post_init__`` checks them and may
-    normalize them through ``object.__setattr__``.  Assignment raises
-    AttributeError; equality and hash go by exact class and field values,
-    and the repr reads ``Name(field=value, ...)``.  A subclass with default
+    positionally or by keyword, bound as Python binds a function's
+    arguments, then ``__post_init__`` checks them and may normalize them
+    through ``object.__setattr__``.  Assignment raises AttributeError;
+    equality and hash go by exact class and field values, and the repr
+    reads ``Name(field=value, ...)``.  A subclass with default
     arguments (the tables) writes its own ``__init__`` and hands the finished
     fields to ``Record.__init__``; ``_trusted`` sets fields the caller has
     already put in that form.
@@ -66,31 +68,10 @@ class Record:
     def __init__(self, *args, **kwargs):
         setters = self._setters
         if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
+            args = _binder(type(self))(*args, **kwargs)
         for set_field, value in zip(setters, args):
             set_field(self, value)
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        # The arguments in field order, refused as a function would refuse them.
-        names = cls.__slots__
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
-                            f"but {len(args)} were given")
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{cls.__name__}() got an unexpected keyword "
-                                f"argument {name!r}")
-            if name in values:
-                raise TypeError(f"{cls.__name__}() got multiple values for "
-                                f"argument {name!r}")
-            values[name] = value
-        missing = [name for name in names if name not in values]
-        if missing:
-            raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(missing)}")
-        return [values[name] for name in names]
 
     @classmethod
     def _trusted(cls, *fields):
@@ -124,6 +105,16 @@ class Record:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, since assignment raises.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@cache
+def _binder(cls):
+    # def Name(fields): return fields, -- through which Python binds, or
+    # refuses in its own words, a call that is not exactly positional.
+    fields = ", ".join(cls.__slots__)
+    scope = {}
+    exec(f"def {cls.__name__}({fields}): return {fields},", scope)
+    return scope[cls.__name__]
 
 
 class BettiTable(Record):
@@ -245,8 +236,6 @@ class CohomologyTable(Record, _TwistReads):
         _, mine, theirs = _union_cells(self, other)
         return mine == theirs
 
-    __hash__ = None
-
     def __repr__(self):
         cells = ", ".join(f"({i},{j}): {v}" for (i, j), v in sorted(self.entries.items()))
         return (f"CohomologyTable(n={self.n}, window={self.window}, "
@@ -349,14 +338,11 @@ def validate(t):
     lo, hi = w.window
     alt = {}
     for (i, j), v in sorted(w.entries.items()):
-        if v <= 0:
-            violations.append(f"entry ({i}, {j}) = {w.fraction(v)} is not positive")
-        if not 0 <= i <= n:
-            violations.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
-            continue
-        if not lo <= j <= hi:
-            violations.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
-            continue
+        placed = 0 <= i <= n and lo <= j <= hi
+        if v <= 0 or not placed:
+            violations += _entry_violations(i, j, v, n, lo, hi, w.fraction)
+            if not placed:
+                continue
         if 1 <= i <= n - 1 and (j == lo or j == hi):
             violations.append(f"interior row {i} touches the window edge at j = {j}")
         alt[j] = alt.get(j, 0) + (v if i % 2 == 0 else -v)
@@ -382,6 +368,18 @@ def validate(t):
     if lead < 0:
         violations.append(f"leading chi coefficient {w.fraction(lead)} is negative")
     return violations
+
+
+def _entry_violations(i, j, v, n, lo, hi, fraction):
+    """``validate``'s texts for one stored entry (i, j) = v of a cohomology
+    table on P^n over the window [lo, hi], v printed as ``fraction(v)``:
+    not positive, outside rows 0..n, or outside the window."""
+    texts = [f"entry ({i}, {j}) = {fraction(v)} is not positive"] if v <= 0 else []
+    if not 0 <= i <= n:
+        texts.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
+    elif not lo <= j <= hi:
+        texts.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
+    return texts
 
 
 class Numerators(_TwistReads):

@@ -251,7 +251,10 @@ def test_cli_runs_as_module():
 
 
 @pytest.mark.parametrize("argv", [["stillman", "-e", "2", "-r", "3", "--p-max", "5"],
-                                  ["--help"]])
+                                  ["--help"],
+                                  # 259 KB: the closed pipe shows inside the row loop
+                                  ["ext-polytope", str(FIXTURES / "p1_o_minus5_narrow.ct"),
+                                   str(FIXTURES / "p1_o_plus5_narrow.ct")]])
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_a_closed_stdout_exits_with_the_sigpipe_status_and_no_traceback(argv, unbuffered):
     # buffered, the closed reader shows at the final flush; unbuffered, at
@@ -298,6 +301,39 @@ def test_ext_polytope_prints_nothing_for_an_invalid_table(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ext-polytope", *paths)
     assert (code, out) == (1, "")
     assert err.startswith("invalid-table: ")
+
+
+_SPLIT = (FIXTURES / "p1_split.ct").read_text()
+_NONPOSITIVE_A = """coh-table v1
+n 1
+window -3 3
+chi 2 1
+entry 0 -1 1
+entry 0 0 -1
+entry 1 0 -3
+entry 0 1 3
+entry 0 2 4
+entry 0 3 5
+entry 1 -3 1
+"""
+
+
+@pytest.mark.parametrize("a_text, flags, message", [
+    (_NONPOSITIVE_A, ["--symmetric"],
+     "A: entry (0, 0) = -1 is not positive; A: entry (1, 0) = -3 is not positive"),
+    (_SPLIT + "entry 5 0 7\n", [], "A: entry (5, 0) lies outside rows 0..1"),
+    (_SPLIT + "entry 0 40 3\n", [], "A: entry (0, 40) lies outside the window [-6, 4]"),
+], ids=["non-positive", "past-the-rows", "past-the-window"])
+def test_ext_polytope_refuses_an_entry_its_bounds_would_drop(tmp_path, capsys, a_text,
+                                                             flags, message):
+    # Each exited 0 while only the split table was validated: the rank
+    # bounds read A through its cells, which drop an entry outside the rows
+    # or the window, and the other table's entries mask a non-positive one.
+    path = tmp_path / "a.ct"
+    path.write_text(a_text)
+    code, out, err = run_cli(capsys, "ext-polytope", str(path),
+                             str(FIXTURES / "p1_split.ct"), *flags)
+    assert (code, out, err) == (1, "", f"invalid-table: {message}\n")
 
 
 def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):

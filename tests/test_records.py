@@ -11,7 +11,9 @@ import pytest
 import betticone.stillman as stillman
 from betticone import (BettiDecomposition, BettiTable, CohDecomposition,
                        CohomologyTable, DegreeSequence, IntegralityViolation, PureDiagram,
-                       RootSequence, StillmanParams, decompose, stillman_diagram)
+                       RootSequence, StillmanParams, decompose, normalized_diagram,
+                       stillman_diagram)
+from betticone.stillman import Obstruction, ScanRow
 
 F = Fraction
 
@@ -81,6 +83,37 @@ def test_fields_bind_by_position_or_keyword():
                          ((2, 3, 1), {"q": 0}), ((), {"e": 2, "r": 3})]:
         with pytest.raises(TypeError):
             StillmanParams(*args, **kwargs)
+
+
+_SEQUENCE = DegreeSequence(0, (0, 2, 3), 3)
+_DIAGRAM = normalized_diagram(_SEQUENCE)
+_OBSTRUCTION = Obstruction("inconclusive", 2, 3)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (DegreeSequence, (0, (0, 2, 3), 3)),
+    (PureDiagram, (_SEQUENCE, (1, 3, 2))),
+    (RootSequence, (2, (3, -1))),
+    (CohDecomposition, (((F(1, 2), RootSequence(1, (0,))),),)),
+    (BettiDecomposition, (((F(1), _DIAGRAM),),)),
+    (StillmanParams, (2, 3, 1)),
+    (Obstruction, ("inconclusive", 2, 3)),
+    (ScanRow, (0, _SEQUENCE, _DIAGRAM, True, _OBSTRUCTION)),
+])
+def test_every_record_binds_its_fields_as_a_function_would(cls, args):
+    fields = dict(zip(cls.__slots__, args))
+    assert cls(**fields) == cls(*args)
+    assert cls(*args[:1], **dict(list(fields.items())[1:])) == cls(*args)
+    first, last = cls.__slots__[0], cls.__slots__[-1]
+    # missing, extra, doubled and unknown, each with a word its refusal names
+    for bad_args, bad_kwargs, word in [(args[:-1], {}, repr(last)),
+                                       ((*args, 0), {}, "positional"),
+                                       (args, {first: args[0]}, repr(first)),
+                                       (args, {"unknown": 0}, "'unknown'")]:
+        with pytest.raises(TypeError) as info:
+            cls(*bad_args, **bad_kwargs)
+        assert str(info.value).startswith(f"{cls.__name__}() ")
+        assert word in str(info.value)
 
 
 def test_post_init_normalizes_the_fields():
