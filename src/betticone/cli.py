@@ -14,7 +14,7 @@ from .betti_decomposition import decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
 from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
-from .exchange import (_int, parse_rational, parse_table, pretty_betti,
+from .exchange import (_checked, _int, parse_rational, parse_table, pretty_betti,
                        pretty_cohomology, serialize_table)
 from .extension import _hull_vertices, decide_patterns
 from .stillman import scan
@@ -59,9 +59,7 @@ def _parse_window_arg(text):
         lo, hi = _integers(text)
     except ValueError:
         raise ParseError(0, f"bad window {text!r}, expected lo,hi") from None
-    if lo > hi:  # as the exchange parser words it
-        raise ParseError(0, f"empty window {(lo, hi)}")
-    return lo, hi
+    return _checked(CohomologyTable, 1, (lo, hi)).window
 
 
 def _fmt_seq(values):

@@ -21,7 +21,7 @@ from operator import itemgetter, mul, ne
 
 from .coh_decomposition import _decompose, _second_differences, _valid
 from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
-from .tables import Numerators, _cleared, _entry_violations, _union_cells, add_tables
+from .tables import Numerators, _cleared, _own_violations, _union_cells, add_tables
 
 
 def cancellation_bounds(A, B):
@@ -100,10 +100,10 @@ def enumerate_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
 def _box(A, B, mode, budget, serre_shift):
     """The candidate box: the sorted bound support, each key's cap, each
     key's group (the keys of a group take one value) and each group's cap.
-    Its checks come before the caller's.  An entry of A or B that is not
-    positive or lies outside its rows or window is refused (InvalidTable,
-    in ``validate``'s words), since the bounds read both tables through
-    ``cells``, which drop it; their Euler identity and tails are not
+    Its checks come before the caller's.  A and B must each pass
+    ``_own_violations`` (InvalidTable, in ``validate``'s words): the bounds
+    read both tables through ``cells``, which drop a misplaced entry, and in
+    A + B one's Euler mismatch can cancel the other's.  Their tails are not
     checked here."""
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -111,8 +111,7 @@ def _box(A, B, mode, budget, serre_shift):
         raise ValueError(f"serre_shift {serre_shift} needs mode 'serre-symmetric'")
     bounds = cancellation_bounds(A, B)
     violations = [f"{name}: {text}" for name, t in (("A", A), ("B", B))
-                  for (i, j), v in sorted(t.entries.items())
-                  for text in _entry_violations(i, j, v, t.n, *t.window, Fraction)]
+                  for text in _own_violations(t)]
     if violations:
         raise InvalidTable(violations)
     support = sorted(bounds)

@@ -4,7 +4,7 @@ All values are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator); nothing in this package touches floating point.
 Table arithmetic never stores a zero entry.  The constructors and the
 parser keep the entries they are given, zeros included, and ``validate``
-reports a stored zero as not positive.
+(as ``ext-polytope`` on A and B) reports a stored zero as not positive.
 
 Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
@@ -19,11 +19,11 @@ remainder instead of building a table per step.
 ``Numerators``, a mutable working form holding int numerators over one
 common denominator, built once per entry point (``validate`` takes a table
 or this form); values leave it as ``Fraction``.  Both forms share their
-reads past the window (``_TwistReads``).  The Betti greedy keeps a
-reduced int (numerator, denominator) pair per cell instead (see
-``betti_decomposition``): a common denominator would rescale the whole
-table whenever a step's coefficient brings a new one, while a pair per cell
-keeps each peel O(strand).
+reads past the window and how they print (``_TwistReads``).  The Betti
+greedy keeps a reduced int (numerator, denominator) pair per cell instead
+(see ``betti_decomposition``): a common denominator would rescale the
+whole table whenever a step's coefficient brings a new one, while a pair
+per cell keeps each peel O(strand).
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -150,7 +150,8 @@ class BettiTable(Record):
 
 class _TwistReads:
     """Reads of a cohomology table at every twist, exact in the subclass's
-    numbers: ``CohomologyTable``'s Fractions or ``Numerators``' ints.
+    numbers (``CohomologyTable``'s Fractions, ``Numerators``' ints), each
+    turned into the Fraction it stands for by ``fraction``.
 
     Outside the ``window`` row 0 carries chi(j) to the right, row n carries
     (-1)^n chi(j) to the left, and all other rows vanish; ``value`` and
@@ -198,6 +199,9 @@ class _TwistReads:
 
     def is_zero(self):
         return not self.entries and not any(self.chi)
+
+    def fraction(self, v):  # already the value here; Numerators overrides it
+        return v
 
 
 class CohomologyTable(Record, _TwistReads):
@@ -326,35 +330,18 @@ def subtract_checked(a, b):
 
 
 def validate(t):
-    """Check every type invariant; returns the (possibly empty) violation
-    list.  A cohomology table may be given as its ``Numerators`` instead."""
+    """Check every type invariant (``_own_violations``, then the signs of
+    chi's tails and lead); returns the (possibly empty) violation list.  A
+    cohomology table may be given as its ``Numerators`` instead."""
     if isinstance(t, BettiTable):
         return [f"entry ({i}, {j}) = {v} is not positive"
                 for (i, j), v in sorted(t.entries.items()) if v <= 0]
 
-    violations = []
     w = t if isinstance(t, Numerators) else Numerators(t)
-    n = w.n
-    lo, hi = w.window
-    alt = {}
-    for (i, j), v in sorted(w.entries.items()):
-        placed = 0 <= i <= n and lo <= j <= hi
-        if v <= 0 or not placed:
-            violations += _entry_violations(i, j, v, n, lo, hi, w.fraction)
-            if not placed:
-                continue
-        if 1 <= i <= n - 1 and (j == lo or j == hi):
-            violations.append(f"interior row {i} touches the window edge at j = {j}")
-        alt[j] = alt.get(j, 0) + (v if i % 2 == 0 else -v)
-    # A zero chi can only mismatch where the alternating sum is supported,
-    # and its tails vanish.
-    for j in range(lo, hi + 1) if any(w.chi) else sorted(alt):
-        total, chi = alt.get(j, 0), w.chi_at(j)
-        if total != chi:
-            violations.append(f"Euler mismatch at j = {j}: alternating sum "
-                              f"{w.fraction(total)} != chi {w.fraction(chi)}")
-    if not any(w.chi):
+    violations = _own_violations(w)
+    if not any(w.chi):  # a zero chi's tails vanish
         return violations
+    n, (lo, hi) = w.n, w.window
     # The tails' signs, n + 1 twists past each window edge, and chi's lead.
     for k in range(1, n + 2):
         right = w.value(0, hi + k)
@@ -370,16 +357,31 @@ def validate(t):
     return violations
 
 
-def _entry_violations(i, j, v, n, lo, hi, fraction):
-    """``validate``'s texts for one stored entry (i, j) = v of a cohomology
-    table on P^n over the window [lo, hi], v printed as ``fraction(v)``:
-    not positive, outside rows 0..n, or outside the window."""
-    texts = [f"entry ({i}, {j}) = {fraction(v)} is not positive"] if v <= 0 else []
-    if not 0 <= i <= n:
-        texts.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
-    elif not lo <= j <= hi:
-        texts.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
-    return texts
+def _own_violations(t):
+    """``validate``'s checks of a cohomology table (or its ``Numerators``)
+    on its own window, in its words: each stored entry positive, inside rows
+    0..n and the window, and on no interior row at a window edge; then the
+    Euler identity at every twist of the window.  The tails are not read."""
+    violations, alt = [], {}
+    n, (lo, hi) = t.n, t.window
+    for (i, j), v in sorted(t.entries.items()):
+        if v <= 0:
+            violations.append(f"entry ({i}, {j}) = {t.fraction(v)} is not positive")
+        if not 0 <= i <= n:
+            violations.append(f"entry ({i}, {j}) lies outside rows 0..{n}")
+        elif not lo <= j <= hi:
+            violations.append(f"entry ({i}, {j}) lies outside the window [{lo}, {hi}]")
+        else:
+            if 1 <= i <= n - 1 and (j == lo or j == hi):
+                violations.append(f"interior row {i} touches the window edge at j = {j}")
+            alt[j] = alt.get(j, 0) + (v if i % 2 == 0 else -v)
+    # A zero chi can only mismatch where the alternating sum is supported.
+    for j in range(lo, hi + 1) if any(t.chi) else sorted(alt):
+        total, chi = alt.get(j, 0), t.chi_at(j)
+        if total != chi:
+            violations.append(f"Euler mismatch at j = {j}: alternating sum "
+                              f"{t.fraction(total)} != chi {t.fraction(chi)}")
+    return violations
 
 
 class Numerators(_TwistReads):

@@ -13,7 +13,8 @@ import betticone.cli as cli
 import betticone.coh_decomposition as coh_decomposition
 import betticone.extension as extension
 import betticone.tables as tables
-from betticone import CohomologyTable, line_bundle_table, serialize_table, validate
+from betticone import (CohomologyTable, line_bundle_table, parse_table, serialize_table,
+                       validate)
 from betticone.cli import main
 from betticone.errors import NotInCone, ParseError
 from betticone.supernatural import CohDecomposition
@@ -333,6 +334,30 @@ def test_ext_polytope_refuses_an_entry_its_bounds_would_drop(tmp_path, capsys, a
     path.write_text(a_text)
     code, out, err = run_cli(capsys, "ext-polytope", str(path),
                              str(FIXTURES / "p1_split.ct"), *flags)
+    assert (code, out, err) == (1, "", f"invalid-table: {message}\n")
+
+
+_RANK3 = (FIXTURES / "pp2_rank3.ct").read_text()
+
+
+@pytest.mark.parametrize("a, b, flags, message", [
+    (parse_table(_SPLIT.replace("entry 0 0 15", "entry 0 0 16")),
+     parse_table(_SPLIT.replace("entry 0 0 15", "entry 0 0 14")), flags,
+     "A: Euler mismatch at j = 0: alternating sum 11 != chi 10; "
+     "B: Euler mismatch at j = 0: alternating sum 9 != chi 10")
+    for flags in ([], ["--symmetric"])
+] + [
+    (parse_table(_RANK3.replace("entry 0 3 24", "entry 0 3 25") + "entry 1 3 1\n"),
+     line_bundle_table(2, 2, (-5, 5)), [],
+     "A: interior row 1 touches the window edge at j = 3"),
+], ids=["euler-full", "euler-symmetric", "interior-edge"])
+def test_ext_polytope_refuses_a_table_that_breaks_its_own_window(tmp_path, capsys, a, b,
+                                                                 flags, message):
+    # Each exited 0 while only A + B was checked beyond the entries: the two
+    # Euler mismatches cancel in the split table, and j = 3 is an interior
+    # twist of the split table's window [-5, 5] though A's own edge.
+    paths = _ext_polytope_files(tmp_path, a=a, b=b)
+    code, out, err = run_cli(capsys, "ext-polytope", *paths, *flags)
     assert (code, out, err) == (1, "", f"invalid-table: {message}\n")
 
 

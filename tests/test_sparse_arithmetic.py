@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from betticone import (CohomologyTable, NegativeEntry, RootSequence,
                        add_tables, apply_cancellation, cancellation_bounds,
                        subtract_checked, supernatural_table, validate)
+from betticone.tables import Numerators, _own_violations
 from helpers import (dense_apply_cancellation, dense_cancellation_bounds,
                      dense_cells, dense_combine, dense_equal, dense_validate)
 
@@ -138,6 +139,19 @@ def test_validate_matches_dense_on_euler_consistent_tables(t):
     consistent = CohomologyTable(t.n, t.window,
                                  {(0, j): t.chi_at(j) for j in range(lo, hi + 1)}, t.chi)
     assert validate(consistent) == dense_validate(consistent)
+
+
+_TAIL_TEXTS = ("right tail negative", "left tail negative", "leading chi coefficient")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(tables))
+def test_own_violations_are_validate_without_the_tails(t):
+    # What ext-polytope asks of A and B as given: validate's checks but the
+    # tails and chi's lead, in the same words for either number form.
+    own = [text for text in validate(t) if not text.startswith(_TAIL_TEXTS)]
+    assert _own_violations(t) == own
+    assert _own_violations(Numerators(t)) == own
 
 
 # --- work counters ---------------------------------------------------------
