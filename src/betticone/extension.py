@@ -43,17 +43,19 @@ def apply_cancellation(A, B, pattern):
     """
     bounds = cancellation_bounds(A, B)
     for (i, j), v in sorted(pattern.items()):
+        if v != int(v):
+            raise ValueError(f"rank {v} at {(i, j)} is not an integer")
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    return _cancel(Numerators(add_tables(A, B)), pattern.items()).table()
+    ranks = [(key, int(v)) for key, v in pattern.items()]
+    return _cancel(Numerators(add_tables(A, B)), ranks).table()
 
 
 def _cancel(split, ranks):
     """A working copy of the split table's ``Numerators`` in which, for each
     (key (i, j), rank c) of ``ranks``, row i at twist j and row i + 1 at
     twist j each lose c, that is c * den in numerators; a cell that reaches
-    zero is dropped.  The ranks are ints, or the caller's Fractions in
-    ``apply_cancellation``, whose ``table()`` reads them the same way."""
+    zero is dropped.  The ranks are ints."""
     work = split.copy()
     entries, den = work.entries, split.den
     for (i, j), c in ranks:
@@ -245,32 +247,37 @@ def _separate(x, points):
     a.p < a.x for every point p.
 
     Phase-I simplex with Bland's rule on sum lambda_s (p_s - x) = 0,
-    sum lambda_s = 1.  At the optimum the cost row under artificial column r
-    holds y_r - 1 for duals y with y.(p_s - x, 1) <= 0 for every s, and y_d
-    is the phase-I objective: x is in the hull iff y_d = 0, and otherwise
-    a = (y_0, ..., y_{d-1}) has a.(p_s - x) <= -y_d < 0.
+    sum lambda_s = 1.  The cost row is the tableau's last row, with the
+    phase-I objective on the right.  At the optimum it reads
+    (y_0 - 1, ..., y_d - 1 | y_d) under the artificial columns and the
+    right-hand side, for duals y with y.(p_s - x, 1) <= 0 for every s: x is
+    in the hull iff y_d = 0, and otherwise a = (y_0, ..., y_{d-1}) has
+    a.(p_s - x) <= -y_d < 0.
 
-    The tableau is fraction-free (Edmonds 1967): each row is held as ints
-    that are a positive multiple of the rational row, reduced by their gcd
-    after every update, and the cost row as ints over a positive int
-    denominator.  Signs and ratios are those of the rational tableau, so
-    Bland's rule takes the same pivots, and the direction returned is a
-    positive multiple of a, in ints.
+    The tableau is fraction-free (Edmonds 1967): each row, the cost row
+    too, is held as ints that are a positive multiple of the rational row,
+    reduced by their gcd after every update.  Signs and ratios are those of
+    the rational tableau, so Bland's rule takes the same pivots.  The cost
+    row's multiple, its denominator, is read off it as its right-hand side
+    less its last artificial entry, and the direction returned is that
+    multiple of a, in ints.
     """
     d = len(x)
     m = len(points)
     rows = [[p[k] - x[k] for p in points] for k in range(d)] + [[1] * m]
-    # One artificial variable per row; the right-hand side is (0, ..., 0, 1).
+    # One artificial variable per row; the right-hand side is (0, ..., 0, 1),
+    # and the phase-I objective starts at their sum, 1.
     tableau = [_cleared(rows[r] + [int(r == s) for s in range(d + 1)] + [int(r == d)])[0]
                for r in range(d + 1)]
+    tableau.append(_cleared([sum(column) for column in zip(*rows)] + [0] * (d + 1) + [1])[0])
     basis = [m + r for r in range(d + 1)]
-    cost, den = _cleared([sum(column) for column in zip(*rows)] + [0] * (d + 1))
-    while (entering := next((c for c, v in enumerate(cost) if v > 0), None)) is not None:
+    while (entering := next((c for c, v in enumerate(tableau[-1][:-1]) if v > 0), None)) is not None:
         # The entering column has a positive entry: the phase-I objective is
         # bounded below by 0, so the program is never unbounded.  Ratio test
-        # rhs / entry by cross multiplication, ties to the smaller basis index.
+        # rhs / entry by cross multiplication over the constraint rows, ties
+        # to the smaller basis index.
         pivot_row = None
-        for r, row in enumerate(tableau):
+        for r, row in enumerate(tableau[:-1]):
             a = row[entering]
             if a > 0 and (pivot_row is None or (row[-1] * pivot, basis[r])
                           < (rhs * a, basis[pivot_row])):
@@ -282,13 +289,7 @@ def _separate(x, points):
                 row = [pivot * a - f * p for a, p in zip(row, prow)]
                 g = gcd(*row)
                 tableau[r] = [a // g for a in row] if g > 1 else row
-        f = cost[entering]
-        cost = [pivot * a - f * p for a, p in zip(cost, prow)]
-        den *= pivot
-        g = gcd(den, *cost)
-        if g > 1:
-            den //= g
-            cost = [a // g for a in cost]
         basis[pivot_row] = entering
-    y = [c + den for c in cost[m:]]
-    return None if y[d] == 0 else y[:d]
+    *cost, objective = tableau[-1]
+    den = objective - cost[m + d]
+    return None if objective == 0 else [c + den for c in cost[m:m + d]]

@@ -144,10 +144,6 @@ def corner_roots(g):
         if row not in minima:
             raise NotStaircase(0, f"row {row} has no support on the window")
     roots = [minima[0] - 1]
-    for i in range(2, g.n + 1):
-        row = i - 1
-        if row in minima:
-            roots.append(min(minima[row] - 1, roots[-1] - 1))
-        else:
-            roots.append(roots[-1] - 1)
+    for row in range(1, g.n):
+        roots.append(min(minima.get(row, roots[-1]), roots[-1]) - 1)
     return RootSequence._trusted(g.n, tuple(roots))

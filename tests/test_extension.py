@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -87,6 +88,15 @@ def test_apply_rejects_excess_rank():
         apply_cancellation(a, b, {(0, -1): 11})
     with pytest.raises(BoundViolation):
         apply_cancellation(a, b, {(1, 0): 1})
+
+
+@pytest.mark.parametrize("rank", [F(1, 2), F(9, 2), 1.5, -0.5])
+def test_apply_refuses_a_rank_that_is_not_an_integer(rank):
+    a, b = pair()
+    with pytest.raises(ValueError, match=rf"rank {rank} at \(0, -2\) is not an integer"):
+        apply_cancellation(a, b, {(0, -2): rank})
+    assert (apply_cancellation(a, b, {(0, -2): F(4)})
+            == apply_cancellation(a, b, {(0, -2): 4}))
 
 
 def test_feasible_triangle():
@@ -304,6 +314,53 @@ def test_integer_separation_matches_the_fraction_simplex(seed, dim, fractional):
         if a is not None:
             assert all(ai * rj == aj * ri for ai, ri in zip(a, ref) for aj, rj in zip(a, ref))
             assert sum(ai * ri for ai, ri in zip(a, ref)) > 0
+
+
+def _pinned_separation_cases(seed, count):
+    # d from 1 to 6, m from 0 to 9, coordinates in [-6, 6], about 30 % of
+    # them over a denominator 1-4; half the x are convex combinations of up
+    # to three of the points.
+    rng = random.Random(seed)
+
+    def coord():
+        v = rng.randint(-6, 6)
+        return F(v, rng.randint(1, 4)) if rng.random() < 0.3 else v
+    for _ in range(count):
+        d, m = rng.randint(1, 6), rng.randint(0, 9)
+        points = [tuple(coord() for _ in range(d)) for _ in range(m)]
+        if points and rng.random() < 0.5:
+            chosen = rng.sample(points, rng.randint(1, min(3, m)))
+            weights = [rng.randint(1, 3) for _ in chosen]
+            x = tuple(sum(F(w, sum(weights)) * p[k] for w, p in zip(weights, chosen))
+                      for k in range(d))
+        else:
+            x = tuple(coord() for _ in range(d))
+        yield x, points
+
+
+def test_separation_returns_the_pinned_ints():
+    # The exact values, not just their direction: Bland's pivots and the
+    # fraction-free scaling fix every int the simplex returns.
+    cases = list(_pinned_separation_cases(2028, 3000))
+    results = [extension._separate(x, points) for x, points in cases]
+    assert sum(r is None for r in results) == 1583
+    assert [results[k] for k in (5, 23, 52, 55, 56, 68)] == [
+        [3, 15, 15], [48, 45, 48], [-11, 18], [-10, -79, 11], [-278, -51, 194], [1, 7]]
+    digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+    assert digest == "ddb7c03d17e243300ef894d4a2cf35b012925474a87dca227e6909cfc8f56830"
+
+
+@pytest.mark.parametrize("x, points, expected", [
+    ((0,), [(1,), (-1,)], None),
+    ((2,), [(1,), (-1,)], [1]),
+    ((0, 0), [], [1, 1]),
+    ((1, 1), [(0, 0), (2, 0), (0, 2)], None),
+    ((2, 2), [(0, 0), (2, 0), (0, 2)], [1, 1]),
+    ((F(1, 3), F(1, 3)), [(0, 0), (1, 0), (0, 1)], None),
+    ((3, -1), [(F(1, 2), 0), (0, F(5, 4)), (-2, -3), (4, 1)], [4, -4]),
+])
+def test_separation_of_small_cases(x, points, expected):
+    assert extension._separate(x, points) == expected
 
 
 def _counting_fraction_ops(monkeypatch, names):
