@@ -8,8 +8,11 @@ exactly when this empties the table along a chain of degree sequences.
 The greedy works on ints: each cell's value is held as a reduced
 (numerator, positive denominator) pair, and a peel reads and rewrites the
 strand's cells only, with one gcd per cell, so it costs O(strand) whatever
-the table's support.  Only each term's coefficient and diagram leave it as
-``Fraction``.
+the table's support.  ``_decompose`` is the greedy on that pair form: it
+yields each peel's strand, coefficient and diagram as ints.  ``decompose``
+builds its ``Fraction`` terms from them, ``is_member`` builds none, and the
+CLI reads a file straight into the pair form (``exchange._read``) and
+prints each term from the ints.
 
 Every strand cell is its column's minimum, so a peel can only raise a
 column's least degree and never refills an emptied column.  Hence column
@@ -20,6 +23,7 @@ where a strand runs past the end of a last strand shorter than vars + 1,
 and the greedy refuses there, before peeling it.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -79,13 +83,17 @@ def peel(b, seq):
     w = _integral_values(_gap_products(seq.degrees))
     n, d = _peel(work, seq, w)
     # the normalized diagram is w / w_0
-    return Fraction(n * w[0], d), BettiTable._trusted(
-        b.vars, {key: Fraction(*pair) for key, pair in work.items()})
+    return Fraction(n * w[0], d), _table(b.vars, work)
 
 
 def _pairs(b):
     # The greedy's working form of a table: cell -> (numerator, denominator).
     return {key: (v.numerator, v.denominator) for key, v in b.entries.items()}
+
+
+def _table(vars, work):
+    # The BettiTable a working form stands for.
+    return BettiTable._trusted(vars, {key: Fraction(*pair) for key, pair in work.items()})
 
 
 def _peel(work, seq, w):
@@ -126,38 +134,47 @@ def decompose(b, normalized=False):
     ``normalized`` asks for first-entry-1 diagrams.  Raises InvalidTable on
     an entry that is not positive, and NotInCone (or its
     StrandNotIncreasing refinement) before peeling the first strand that
-    breaks the chain, so its step is the number of peels done.  Each peel
-    (q > 0) zeroes its binding cell and adds none, so the loop ends.  The
-    greedy peels the integral diagram w; the normalized one is w / w_0, with
+    breaks the chain, so its step is the number of peels done.  The greedy
+    peels the integral diagram w; the normalized one is w / w_0, with
     coefficient q w_0.
     """
     terms = []
-    last = None
-    work = _pairs(b)
-    if any(N <= 0 for N, _ in work.values()):
-        raise InvalidTable(validate(b))
-    columns = {}
-    for i, d in sorted(work, reverse=True):
-        columns.setdefault(i, []).append(d)
-    minima = {i: stack[-1] for i, stack in columns.items()}
-    while work:
-        seq = _strand_info(minima, b.vars)
-        # the one fan-order clause a peel can break (module docstring); a
-        # short last strand stopped at column last.end + 1, which its peel
-        # left alone
-        if last is not None and seq.end > last.end and len(last.degrees) <= b.vars:
-            detail = f"strands {last} and {seq} are not comparable"
-            if last.end + 1 in minima:
-                raise StrandNotIncreasing(len(terms), last.end + 1, detail)
-            raise NotInCone(len(terms), detail)
-        D = _gap_products(seq.degrees)
-        w = _integral_values(D)
-        n, d = _peel(work, seq, w)
+    for seq, n, d, D, w in _decompose(b.vars, _pairs(b)):
         if normalized:
             terms.append((Fraction(n * w[0], d), _normalized(seq, D)))
         else:
             terms.append((Fraction(n, d), _integral(seq, w)))
-        last = seq
+    return BettiDecomposition(tuple(terms))
+
+
+def _decompose(vars, work):
+    # decompose's greedy on a working form (``_pairs``) over vars variables,
+    # which it empties: per peel, the strand seq, q = n / d against the
+    # integral diagram, the gap products D and the integral entries w.  Each
+    # peel (q > 0) zeroes its binding cell and adds none, so the loop ends;
+    # a refusal's step is the number of peels done.
+    if any(N <= 0 for N, _ in work.values()):
+        raise InvalidTable(validate(_table(vars, work)))
+    columns = {}
+    for i, d in sorted(work, reverse=True):
+        columns.setdefault(i, []).append(d)
+    minima = {i: stack[-1] for i, stack in columns.items()}
+    step, last = 0, None
+    while work:
+        seq = _strand_info(minima, vars)
+        # the one fan-order clause a peel can break (module docstring); a
+        # short last strand stopped at column last.end + 1, which its peel
+        # left alone
+        if last is not None and seq.end > last.end and len(last.degrees) <= vars:
+            detail = f"strands {last} and {seq} are not comparable"
+            if last.end + 1 in minima:
+                raise StrandNotIncreasing(step, last.end + 1, detail)
+            raise NotInCone(step, detail)
+        D = _gap_products(seq.degrees)
+        w = _integral_values(D)
+        n, d = _peel(work, seq, w)
+        yield seq, n, d, D, w
+        step, last = step + 1, seq
         for i in range(seq.start, seq.start + len(seq.degrees)):
             if (i, minima[i]) not in work:
                 stack = columns[i]
@@ -166,7 +183,6 @@ def decompose(b, normalized=False):
                     minima[i] = stack[-1]
                 else:
                     del columns[i], minima[i]
-    return BettiDecomposition(tuple(terms))
 
 
 def recompose(decomposition, vars=1):
@@ -180,9 +196,21 @@ def recompose(decomposition, vars=1):
 
 def is_member(t):
     """Cone membership of a Betti or cohomology table: does the matching
-    greedy decomposition succeed?"""
+    greedy decomposition succeed?  The Betti greedy's steps are drained
+    without building a term."""
+    if isinstance(t, BettiTable):
+        return _in_cone(t.vars, _pairs(t))
     try:
-        (decompose if isinstance(t, BettiTable) else decompose_cohomology)(t)
+        decompose_cohomology(t)
+    except NotInCone:
+        return False
+    return True
+
+
+def _in_cone(vars, work):
+    # is_member on a Betti working form, which it empties.
+    try:
+        deque(_decompose(vars, work), maxlen=0)
     except NotInCone:
         return False
     return True

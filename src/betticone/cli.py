@@ -8,29 +8,33 @@ or parse errors, 141 (128 + SIGPIPE) when stdout's reader has gone.
 import os
 import re
 import sys
+from math import gcd
 from types import SimpleNamespace
 
-from .betti_decomposition import decompose, is_member
+from .betti_decomposition import _decompose, _in_cone, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
 from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
-from .exchange import (_checked, _int, parse_rational, parse_table, pretty_betti,
-                       pretty_cohomology, serialize_table)
+from .exchange import (_checked, _int, _read, _table, parse_rational, parse_table,
+                       pretty_betti, pretty_cohomology, serialize_table)
 from .extension import _hull_vertices, decide_patterns
 from .stillman import scan
 from .supernatural import RootSequence, _integral_multiple, supernatural_table
 from .tables import BettiTable, CohomologyTable, Numerators, validate
 
 
-def _load(path):
+def _text(path):
     try:
         with open(path, encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(0, f"cannot decode {path}: not UTF-8 ({exc.reason})") from None
-    return parse_table(text)
+
+
+def _load(path):
+    return parse_table(_text(path))
 
 
 def _integers(text):
@@ -66,10 +70,15 @@ def _fmt_seq(values):
     return ",".join(map(str, values))
 
 
-def _term_line(coeff, diagram):
-    seq = diagram.sequence
+def _ratio(num, den):
+    # str(Fraction(num, den)) for ints with den > 0, from one gcd.
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _term_line(coeff, seq, values):
     return (f"term {coeff} window={seq.start} degrees={_fmt_seq(seq.degrees)} "
-            f"values={_fmt_seq(diagram.values)}")
+            f"values={_fmt_seq(values)}")
 
 
 def _cmd_pure(args):
@@ -81,16 +90,28 @@ def _cmd_pure(args):
 
 
 def _cmd_decompose(args):
-    table = _load(args.table)
-    if not isinstance(table, BettiTable):
+    cls, fields, work = _read(_text(args.table))
+    if cls is not BettiTable:
         raise ParseError(0, "decompose expects a Betti table file")
-    for coeff, diagram in decompose(table, normalized=args.normalized):
-        print(_term_line(coeff, diagram))
+    # Each term as decompose's, from the greedy's ints: against the
+    # integral diagram w, or the normalized one w / w_0 = D_0 / D_k.  The
+    # lines are written once the greedy is done, so a refusal prints none.
+    lines = []
+    for seq, n, d, D, w in _decompose(*fields, work):
+        if args.normalized:
+            lines.append(_term_line(_ratio(n * w[0], d), seq, [_ratio(D[0], Dk) for Dk in D]))
+        else:
+            lines.append(_term_line(_ratio(n, d), seq, w))
+    if lines:
+        print("\n".join(lines))
     return 0
 
 
 def _cmd_member(args):
-    print(f"in-cone {'yes' if is_member(_load(args.table)) else 'no'}")
+    cls, fields, pairs = _read(_text(args.table))
+    in_cone = (_in_cone(*fields, pairs) if cls is BettiTable
+               else is_member(Numerators((*fields, pairs))))
+    print(f"in-cone {'yes' if in_cone else 'no'}")
     return 0
 
 
@@ -103,12 +124,13 @@ def _cmd_supernatural(args):
 
 
 def _cmd_coh_decompose(args):
-    table = _load(args.table)
-    if not isinstance(table, CohomologyTable):
+    cls, fields, pairs = _read(_text(args.table))
+    if cls is not CohomologyTable:
         raise ParseError(0, "coh-decompose expects a cohomology table file")
-    if args.check_oracle and table.n == 1:
+    work = Numerators((*fields, pairs))
+    window = work.window  # the greedy widens the working form in place
+    if args.check_oracle and work.n == 1:
         # The oracle validates the working form, and the greedy then empties it.
-        work = Numerators(table)
         try:
             expected = tuple(p1_oracle(work).terms)
         except NotInCone:
@@ -122,10 +144,10 @@ def _cmd_coh_decompose(args):
         if expected != tuple(result.terms):
             raise OracleMismatch("oracle and greedy decomposition disagree")
     else:
-        result = decompose_cohomology(table)
+        result = decompose_cohomology(work)
     for coeff, roots in result:
         if args.integral:
-            s = _integral_multiple(roots, table.window)
+            s = _integral_multiple(roots, window)
             print(f"term {coeff / s} roots={roots} multiple={s}")
         else:
             print(f"term {coeff} roots={roots}")
@@ -178,8 +200,9 @@ def _cmd_pretty(args):
 
 
 def _cmd_validate(args):
-    table = _load(args.table)
-    problems = validate(table)
+    cls, fields, pairs = _read(_text(args.table))
+    problems = validate(Numerators((*fields, pairs)) if cls is CohomologyTable
+                        else _table(cls, fields, pairs))
     if not problems:
         print("valid")
         return 0

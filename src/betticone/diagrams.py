@@ -9,9 +9,7 @@ to scale, one pure diagram: the extremal rays of the cone of Betti tables.
 
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm, prod
-from operator import sub
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .tables import BettiTable, Record, _cleared
@@ -71,11 +69,16 @@ class Ordering(Enum):
 
 
 def _gap_products(d):
-    # D_k = prod_{j != k} |d_j - d_k| for strictly increasing degrees d, the
-    # product of d_k - d_j over j < k times that of d_j - d_k over j > k; the
-    # pure diagram of d is proportional to 1 / D_k.
-    return [prod(map(sub, repeat(dk), d[:k])) * prod(map(sub, d[k + 1:], repeat(dk)))
-            for k, dk in enumerate(d)]
+    # D_k = prod_{j != k} |d_j - d_k| for strictly increasing degrees d; the
+    # pure diagram of d is proportional to 1 / D_k.  Each gap d_j - d_k
+    # (k < j) is taken once and multiplied into both D_k and D_j.
+    D = [1] * len(d)
+    for k, dk in enumerate(d):
+        for j in range(k + 1, len(d)):
+            gap = d[j] - dk
+            D[k] *= gap
+            D[j] *= gap
+    return D
 
 
 def normalized_diagram(seq):

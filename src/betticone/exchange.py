@@ -12,6 +12,15 @@ Integers are ASCII ``-?[0-9]+`` and rationals ``-?[0-9]+(/[0-9]+)?``; any
 other token is a parse error.  Lines starting with '#' are comments, entries
 may appear in any order, and a repeated (i, j) is a parse error.  One loop
 reads both formats, driven by ``DIRECTIVES``.
+
+One reader, ``_read``, turns a file into the header's checked fields and
+the entries as reduced int (numerator, positive denominator) pairs.  It
+matches each well-formed ``entry`` line with one pattern (``ENTRY``) and
+reads it into ints directly; directives, comments and any line the pattern
+refuses go token by token, so every parse error keeps its text and line.
+``parse_table`` wraps the pairs in ``Fraction``s; the CLI hands them to the
+Betti greedy as they are, and builds a cohomology table's ``Numerators``
+from them (``tables``), so neither builds a ``Fraction`` per entry.
 The pretty printers emit the human-readable grids (Betti entry (i, j) at
 column i, row j - i; cohomology entry (i, j) at display column j + i with
 row 0 at the bottom) and are not meant to be re-parsed.
@@ -19,14 +28,16 @@ row 0 at the bottom) and are not meant to be re-parsed.
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 from .tables import BettiTable, CohomologyTable
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
-INTEGER = re.compile(r"-?[0-9]+")
-RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A well-formed entry line as written by serialize_table: single spaces, no
+# comment, a nonzero denominator.  Any other line is read token by token.
+ENTRY = re.compile(r"entry (-?[0-9]+) (-?[0-9]+) (-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 # Each header's directives besides ``entry``, in the order a missing one is
 # reported: the usage of a line of integers, or None for chi's rationals.
@@ -36,33 +47,29 @@ DIRECTIVES = {
 }
 
 
+def _digits(token):
+    # ASCII digits only: str.isdigit alone takes other scripts' digits too.
+    return token.isascii() and token.isdigit()
+
+
 def parse_rational(token, line_no=0):
     """Parse num or num/den strictly: no decimals, exponents or underscores."""
-    match = RATIONAL.fullmatch(token)
-    if match:
-        num, den = match.groups()
+    num, slash, den = token.partition("/")
+    if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
         try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
             pass
     raise ParseError(line_no, f"bad rational {token!r}")
 
 
 def _int(token, line_no=0):
-    if INTEGER.fullmatch(token):
+    if _digits(token.removeprefix("-")):
         try:
             return int(token)
         except ValueError:  # digit limit
             pass
     raise ParseError(line_no, f"bad integer {token!r}")
-
-
-def _lines(text):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line.split()
 
 
 def _checked(cls, *fields):
@@ -73,25 +80,76 @@ def _checked(cls, *fields):
         raise ParseError(0, str(exc)) from None
 
 
+def _fraction(num, den):
+    # The Fraction of a reduced pair, without reducing it again: a Fraction
+    # is its two slots.
+    if den == 1:
+        return Fraction(num)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
 def parse_table(text):
     """Parse either exchange format, returning the table.
 
-    The entries are stored as parsed, int keys and Fraction values, the
-    tables' own form, so they are handed on without another pass.
+    The reader's reduced int pairs become the table's Fraction values in
+    one pass, and none is reduced again.
     """
-    lines = _lines(text)
-    try:
-        line_no, first = next(lines)
-    except StopIteration:
-        raise ParseError(0, "empty input") from None
-    header = " ".join(first)
+    return _table(*_read(text))
+
+
+def _table(cls, fields, pairs):
+    # The table that the reader's (cls, fields, pairs) stand for.
+    entries = {key: _fraction(*pair) for key, pair in pairs.items()}
+    if cls is BettiTable:
+        return BettiTable._trusted(*fields, entries)
+    n, window, chi = fields
+    return CohomologyTable._trusted(n, window, entries, chi)
+
+
+def _read(text):
+    """(cls, fields, pairs) for either exchange format: the table's class,
+    its checked fields besides the entries ((vars,) or (n, window, chi), in
+    slot order) and its entries as reduced int (num, den) pairs, den > 0."""
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        header = " ".join(raw.split())
+        if header and not header.startswith("#"):
+            break
+    else:
+        raise ParseError(0, "empty input")
     directives = DIRECTIVES.get(header)
     if directives is None:
         raise ParseError(line_no, f"unknown header {header!r}")
     fields = {}
     line_of = {}
     entries = {}
-    for line_no, parts in lines:
+    match = ENTRY.fullmatch
+    for line_no, raw in lines:
+        m = match(raw)
+        if m:
+            i, j, num, den = m.groups()
+            try:
+                key = (int(i), int(j))
+                num = int(num)
+                if den is None:
+                    value = (num, 1)
+                else:
+                    den = int(den)
+                    g = gcd(num, den)
+                    value = (num // g, den // g)
+            except ValueError:  # digit limit: read it again token by token
+                pass
+            else:
+                if key in entries:
+                    raise ParseError(line_no, f"duplicate entry {key}")
+                entries[key] = value
+                continue
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
         name = parts[0]
         if name == "entry":
             if len(parts) != 4:
@@ -99,7 +157,8 @@ def parse_table(text):
             key = (_int(parts[1], line_no), _int(parts[2], line_no))
             if key in entries:
                 raise ParseError(line_no, f"duplicate entry {key}")
-            entries[key] = parse_rational(parts[3], line_no)
+            value = parse_rational(parts[3], line_no)
+            entries[key] = (value.numerator, value.denominator)
         elif name not in directives:
             raise ParseError(line_no, f"unknown directive {name!r}")
         elif name in fields:
@@ -118,13 +177,12 @@ def parse_table(text):
         if name not in fields:
             raise ParseError(0, f"missing {name} line")
     if header == BETTI_HEADER:
-        empty = _checked(BettiTable, *fields["vars"])
-        return BettiTable._trusted(empty.vars, entries)
+        return BettiTable, (_checked(BettiTable, *fields["vars"]).vars,), entries
     (n,), chi = fields["n"], fields["chi"]
     if len(chi) != n + 1:
         raise ParseError(line_of["chi"], f"chi needs {n + 1} coefficients, got {len(chi)}")
     empty = _checked(CohomologyTable, n, tuple(fields["window"]), (), chi)
-    return CohomologyTable._trusted(empty.n, empty.window, entries, empty.chi)
+    return CohomologyTable, (empty.n, empty.window, empty.chi), entries
 
 
 def serialize_table(t):

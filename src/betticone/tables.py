@@ -10,20 +10,29 @@ Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
 per twist where the windows differ, never the (n + 1) x window grid.  Two
 cohomology tables are read over their union window by ``_union_cells``
-alone, and denominators are cleared by ``_cleared`` alone.  ``first_twists``
+alone.  Denominators are cleared by ``_cleared`` (a list of rationals) and
+``Numerators`` (a table) alone.  ``first_twists``
 reads the smallest stored twist (degree) of every row (column).  The
 greedies subtract the largest multiple of a unit table in place on a working
 remainder instead of building a table per step.
 
 ``validate``, the cohomology greedy and the extension's cancellations run on
 ``Numerators``, a mutable working form holding int numerators over one
-common denominator, built once per entry point (``validate`` takes a table
-or this form); values leave it as ``Fraction``.  Both forms share their
-reads past the window and how they print (``_TwistReads``).  The Betti
+common denominator; values leave it as ``Fraction``.  Both forms share
+their reads past the window and how they print (``_TwistReads``).  Each
+entry point builds it once: ``validate``, ``decompose_cohomology`` and
+``p1_oracle`` from the table they are given (or take this form as it is),
+``peel_supernatural`` from its table, ``decide_patterns`` from the split
+table, and the CLI's ``member``, ``validate`` and ``coh-decompose``
+straight from the exchange reader's int pairs, without a
+``CohomologyTable``.  The Betti
 greedy keeps a reduced int (numerator, denominator) pair per cell instead
 (see ``betti_decomposition``): a common denominator would rescale the
 whole table whenever a step's coefficient brings a new one, while a pair
-per cell keeps each peel O(strand).
+per cell keeps each peel O(strand).  ``decompose``, ``peel`` and
+``is_member`` take the pairs off a ``BettiTable``; the CLI's ``decompose``
+and ``member`` read them from the file, so a Betti job builds no
+``Fraction`` per entry.
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -399,11 +408,16 @@ class Numerators(_TwistReads):
     __slots__ = ("n", "window", "den", "entries", "chi")
 
     def __init__(self, t):
-        self.n = t.n
-        self.window = t.window
-        ints, self.den = _cleared([*t.entries.values(), *t.chi])
-        self.entries = dict(zip(t.entries, ints))
-        self.chi = ints[len(self.entries):]
+        """The working form of t: a ``CohomologyTable``, or the exchange
+        reader's (n, window, chi, pairs), each entry a reduced int
+        (num, den) pair."""
+        if isinstance(t, CohomologyTable):
+            t = t.n, t.window, t.chi, {key: (v.numerator, v.denominator)
+                                       for key, v in t.entries.items()}
+        self.n, self.window, chi, pairs = t
+        self.den = den = lcm(*(c.denominator for c in chi), *(d for _, d in pairs.values()))
+        self.entries = {key: num * (den // d) for key, (num, d) in pairs.items()}
+        self.chi = [c.numerator * (den // c.denominator) for c in chi]
 
     def copy(self):
         """An independent working copy: ``subtract`` on either one leaves

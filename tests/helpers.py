@@ -13,7 +13,8 @@ from betticone import (BettiDecomposition, BettiTable, CohomologyTable,
                        scale, smallest_integral, supernatural_table, validate)
 from betticone import cli
 from betticone.diagrams import integral_scale
-from betticone.exchange import _int
+from betticone.errors import ParseError
+from betticone.exchange import _int, parse_rational
 from betticone.extension import _separate
 from betticone.supernatural import CohDecomposition, chi_from_roots
 from betticone.tables import combine, first_twists
@@ -613,3 +614,63 @@ def reference_parse(argv):
     ``argparse.Namespace``; a refusal raises ``SystemExit`` (after argparse
     prints its message) or, for a bad integer, ``ParseError``."""
     return _parser().parse_args(_absorb_negative_values(list(argv)))
+
+
+# Each header's directives besides "entry", in the order a missing one is
+# reported, with the usage of a line of integers (None: chi's rationals).
+_REFERENCE_DIRECTIVES = {
+    "betti-table v1": {"vars": "<v>"},
+    "coh-table v1": {"n": "<n>", "window": "<j_lo> <j_hi>", "chi": None},
+}
+
+
+def reference_parse_table(text):
+    """The exchange grammar read token by token, every line alike, through
+    ``_int`` and ``parse_rational``, and built by the tables' checking
+    constructors: the parser without its one-pattern entry reader."""
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append((line_no, line.split()))
+    if not rows:
+        raise ParseError(0, "empty input")
+    (line_no, first), *rows = rows
+    header = " ".join(first)
+    if header not in _REFERENCE_DIRECTIVES:
+        raise ParseError(line_no, f"unknown header {header!r}")
+    directives = _REFERENCE_DIRECTIVES[header]
+    fields, line_of, entries = {}, {}, {}
+    for line_no, parts in rows:
+        name = parts[0]
+        if name == "entry":
+            if len(parts) != 4:
+                raise ParseError(line_no, "entry lines read: entry <i> <j> <value>")
+            key = (_int(parts[1], line_no), _int(parts[2], line_no))
+            if key in entries:
+                raise ParseError(line_no, f"duplicate entry {key}")
+            entries[key] = parse_rational(parts[3], line_no)
+        elif name not in directives:
+            raise ParseError(line_no, f"unknown directive {name!r}")
+        elif name in fields:
+            raise ParseError(line_no, f"repeated {name} line")
+        elif directives[name] is None:
+            fields[name] = [parse_rational(tok, line_no) for tok in parts[1:]]
+            line_of[name] = line_no
+        elif len(parts) != len(directives[name].split()) + 1:
+            raise ParseError(line_no, f"{name} lines read: {name} {directives[name]}")
+        else:
+            fields[name] = [_int(tok, line_no) for tok in parts[1:]]
+            line_of[name] = line_no
+    for name in directives:
+        if name not in fields:
+            raise ParseError(0, f"missing {name} line")
+    try:
+        if header == "betti-table v1":
+            return BettiTable(*fields["vars"], entries)
+        (n,), chi = fields["n"], fields["chi"]
+        if len(chi) != n + 1:
+            raise ParseError(line_of["chi"], f"chi needs {n + 1} coefficients, got {len(chi)}")
+        return CohomologyTable(n, tuple(fields["window"]), entries, chi)
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,19 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+import betticone.betti_decomposition as betti_decomposition
 import betticone.cli as cli
 import betticone.coh_decomposition as coh_decomposition
+import betticone.diagrams as diagrams
+import betticone.exchange as exchange
 import betticone.extension as extension
 import betticone.tables as tables
-from betticone import (CohomologyTable, line_bundle_table, parse_table, serialize_table,
-                       validate)
+from betticone import (CohomologyTable, DegreeSequence, decompose, line_bundle_table,
+                       parse_table, serialize_table, validate)
 from betticone.cli import main
 from betticone.errors import NotInCone, ParseError
 from betticone.supernatural import CohDecomposition
-from helpers import reference_parse
+from helpers import chain_combination, random_chain, reference_parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -637,3 +641,72 @@ def test_the_argv_strategy_draws_accepted_and_refused_argvs():
 def test_the_grammar_takes_no_abbreviation_and_no_double_dash(argv):
     assert _parsed(reference_parse, argv) is not None
     assert _parsed(cli._parse, argv) is None
+
+
+# --- Betti jobs on the reader's int pairs ----------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 6), st.integers(-2, 2), st.booleans())
+def test_decompose_prints_the_library_terms(tmp_path_factory, seed, vars_count, offset,
+                                            normalized):
+    # Chain combinations with shifted windows, moved by offset homological
+    # positions: the CLI's lines, formatted from ints, are _term_line of the
+    # library's Fraction terms.
+    rng = random.Random(seed)
+    seqs = [DegreeSequence(s.start + offset, s.degrees, s.vars)
+            for s in random_chain(rng, vars_count, max_terms=8)]
+    _, table = chain_combination(rng, seqs)
+    path = tmp_path_factory.mktemp("chain") / "t.bt"
+    path.write_text(serialize_table(table), encoding="utf-8")
+    argv = ["decompose", str(path)] + (["--normalized"] if normalized else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == "".join(
+        cli._term_line(coeff, diagram.sequence, diagram.values) + "\n"
+        for coeff, diagram in decompose(table, normalized=normalized))
+
+
+def _count_calls(monkeypatch, targets):
+    # Wrap each (owner, name) in a counter; the counts, by name.
+    calls = {}
+    for owner, name in targets:
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["decompose", "--normalized"], ["member"]])
+def test_betti_jobs_build_neither_a_table_nor_a_diagram(monkeypatch, capsys, argv):
+    expected = run_cli(capsys, *argv, str(FIXTURES / "chain_v6_120.bt"))
+    calls = _count_calls(monkeypatch, [
+        (exchange, "parse_table"), (cli, "parse_table"), (diagrams, "_integral"),
+        (diagrams, "_normalized"), (betti_decomposition, "_integral"),
+        (betti_decomposition, "_normalized"), (tables.Numerators, "__init__")])
+    assert run_cli(capsys, *argv, str(FIXTURES / "chain_v6_120.bt")) == expected
+    assert expected[0] == 0 and len(expected[1].splitlines()) == (1 if argv == ["member"] else 120)
+    assert set(calls.values()) == {0}
+
+
+@pytest.mark.parametrize("argv", [["member"], ["validate"], ["coh-decompose"],
+                                  ["coh-decompose", "--check-oracle"],
+                                  ["coh-decompose", "--integral"]])
+def test_cohomology_jobs_read_into_one_working_form(monkeypatch, capsys, argv):
+    path = str(FIXTURES / "p1_split.ct")
+    expected = run_cli(capsys, *argv, path)
+    calls = _count_calls(monkeypatch, [(exchange, "parse_table"), (cli, "parse_table"),
+                                       (tables.Numerators, "__init__")])
+    assert run_cli(capsys, *argv, path) == expected
+    assert expected[0] == 0
+    assert calls == {"parse_table": 0, "__init__": 1}
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["decompose", "--normalized"]])
+def test_a_refused_chain_prints_no_term(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(FIXTURES / "chain_v6_120_dented.bt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("not-in-cone: step 80:")
