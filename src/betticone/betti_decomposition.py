@@ -10,9 +10,9 @@ The greedy works on ints: each cell's value is held as a reduced
 strand's cells only, with one gcd per cell, so it costs O(strand) whatever
 the table's support.  ``_decompose`` is the greedy on that pair form: it
 yields each peel's strand, coefficient and diagram as ints.  ``decompose``
-builds its ``Fraction`` terms from them, ``is_member`` builds none, and the
-CLI reads a file straight into the pair form (``exchange._read``) and
-prints each term from the ints.
+builds its ``Fraction`` terms from them with one gcd per fraction, and
+``is_member`` builds none; the CLI's ``member`` reads a file straight into
+the pair form (``exchange._read``).
 
 Every strand cell is its column's minimum, so a peel can only raise a
 column's least degree and never refills an emptied column.  Hence column
@@ -30,7 +30,8 @@ from math import gcd
 from .coh_decomposition import decompose_cohomology
 from .diagrams import DegreeSequence, _gap_products, _integral, _integral_values, _normalized
 from .errors import InvalidTable, NotInCone, StrandNotIncreasing
-from .tables import BettiTable, Record, combine, first_twists, validate
+from .exchange import _table
+from .tables import BettiTable, Record, _reduced, combine, first_twists, validate
 
 
 class BettiDecomposition(Record):
@@ -83,17 +84,12 @@ def peel(b, seq):
     w = _integral_values(_gap_products(seq.degrees))
     n, d = _peel(work, seq, w)
     # the normalized diagram is w / w_0
-    return Fraction(n * w[0], d), _table(b.vars, work)
+    return Fraction(n * w[0], d), _table(BettiTable, (b.vars,), work)
 
 
 def _pairs(b):
     # The greedy's working form of a table: cell -> (numerator, denominator).
-    return {key: (v.numerator, v.denominator) for key, v in b.entries.items()}
-
-
-def _table(vars, work):
-    # The BettiTable a working form stands for.
-    return BettiTable._trusted(vars, {key: Fraction(*pair) for key, pair in work.items()})
+    return {key: v.as_integer_ratio() for key, v in b.entries.items()}
 
 
 def _peel(work, seq, w):
@@ -141,9 +137,9 @@ def decompose(b, normalized=False):
     terms = []
     for seq, n, d, D, w in _decompose(b.vars, _pairs(b)):
         if normalized:
-            terms.append((Fraction(n * w[0], d), _normalized(seq, D)))
+            terms.append((_reduced(n * w[0], d), _normalized(seq, D)))
         else:
-            terms.append((Fraction(n, d), _integral(seq, w)))
+            terms.append((_reduced(n, d), _integral(seq, w)))
     return BettiDecomposition(tuple(terms))
 
 
@@ -154,7 +150,7 @@ def _decompose(vars, work):
     # peel (q > 0) zeroes its binding cell and adds none, so the loop ends;
     # a refusal's step is the number of peels done.
     if any(N <= 0 for N, _ in work.values()):
-        raise InvalidTable(validate(_table(vars, work)))
+        raise InvalidTable(validate(_table(BettiTable, (vars,), work)))
     columns = {}
     for i, d in sorted(work, reverse=True):
         columns.setdefault(i, []).append(d)

@@ -8,10 +8,9 @@ or parse errors, 141 (128 + SIGPIPE) when stdout's reader has gone.
 import os
 import re
 import sys
-from math import gcd
 from types import SimpleNamespace
 
-from .betti_decomposition import _decompose, _in_cone, is_member
+from .betti_decomposition import _in_cone, decompose, is_member
 from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
 from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
@@ -70,15 +69,10 @@ def _fmt_seq(values):
     return ",".join(map(str, values))
 
 
-def _ratio(num, den):
-    # str(Fraction(num, den)) for ints with den > 0, from one gcd.
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _term_line(coeff, seq, values):
+def _term_line(coeff, diagram):
+    seq = diagram.sequence
     return (f"term {coeff} window={seq.start} degrees={_fmt_seq(seq.degrees)} "
-            f"values={_fmt_seq(values)}")
+            f"values={_fmt_seq(diagram.values)}")
 
 
 def _cmd_pure(args):
@@ -90,18 +84,12 @@ def _cmd_pure(args):
 
 
 def _cmd_decompose(args):
-    cls, fields, work = _read(_text(args.table))
-    if cls is not BettiTable:
+    table = _load(args.table)
+    if not isinstance(table, BettiTable):
         raise ParseError(0, "decompose expects a Betti table file")
-    # Each term as decompose's, from the greedy's ints: against the
-    # integral diagram w, or the normalized one w / w_0 = D_0 / D_k.  The
-    # lines are written once the greedy is done, so a refusal prints none.
-    lines = []
-    for seq, n, d, D, w in _decompose(*fields, work):
-        if args.normalized:
-            lines.append(_term_line(_ratio(n * w[0], d), seq, [_ratio(D[0], Dk) for Dk in D]))
-        else:
-            lines.append(_term_line(_ratio(n, d), seq, w))
+    # decompose returns once the greedy is done, so a refusal prints no term
+    lines = [_term_line(coeff, diagram)
+             for coeff, diagram in decompose(table, normalized=args.normalized)]
     if lines:
         print("\n".join(lines))
     return 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .tables import BettiTable, Record, _cleared
+from .tables import BettiTable, Record, _cleared, _fraction, _reduced
 
 
 class DegreeSequence(Record):
@@ -94,7 +94,7 @@ def normalized_diagram(seq):
 def _normalized(seq, D):
     # normalized_diagram from the gap products D of seq; its entries are
     # positive by construction, so the constructor's checks are skipped.
-    return PureDiagram._trusted(seq, tuple(Fraction(D[0], Dk) for Dk in D))
+    return PureDiagram._trusted(seq, tuple(_reduced(D[0], Dk) for Dk in D))
 
 
 def integral_diagram(seq):
@@ -115,7 +115,7 @@ def _integral_values(D):
 
 def _integral(seq, w):
     # integral_diagram from its int entries w, positive by construction.
-    return PureDiagram._trusted(seq, tuple(map(Fraction, w)))
+    return PureDiagram._trusted(seq, tuple(map(_fraction, w)))
 
 
 def moment_sums(diagram):
@@ -133,7 +133,7 @@ def moment_sums(diagram):
 
 def integral_scale(values):
     """Smallest positive rational multiplier making all values integers."""
-    scaled, den = _cleared([Fraction(v) for v in values])
+    scaled, den = _cleared([Fraction(v).as_integer_ratio() for v in values])
     return Fraction(den, gcd(*scaled))
 
 

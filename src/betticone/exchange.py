@@ -14,30 +14,24 @@ may appear in any order, and a repeated (i, j) is a parse error.  One loop
 reads both formats, driven by ``DIRECTIVES``.
 
 One reader, ``_read``, turns a file into the header's checked fields and
-the entries as reduced int (numerator, positive denominator) pairs.  It
-matches each well-formed ``entry`` line with one pattern (``ENTRY``) and
-reads it into ints directly; directives, comments and any line the pattern
-refuses go token by token, so every parse error keeps its text and line.
-``parse_table`` wraps the pairs in ``Fraction``s; the CLI hands them to the
-Betti greedy as they are, and builds a cohomology table's ``Numerators``
-from them (``tables``), so neither builds a ``Fraction`` per entry.
+the entries as reduced int (numerator, positive denominator) pairs, token
+by token (``_int``, ``_rational``), with no ``Fraction`` per entry.
+``parse_table`` wraps the pairs in ``Fraction``s without reducing them
+again; the CLI's ``member`` hands a Betti table's pairs to the greedy as
+they are, and its ``member``, ``validate`` and ``coh-decompose`` build a
+cohomology table's ``Numerators`` from them (``tables``).
 The pretty printers emit the human-readable grids (Betti entry (i, j) at
 column i, row j - i; cohomology entry (i, j) at display column j + i with
 row 0 at the bottom) and are not meant to be re-parsed.
 """
 
-import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
-from .tables import BettiTable, CohomologyTable
+from .tables import BettiTable, CohomologyTable, _fraction
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
-# A well-formed entry line as written by serialize_table: single spaces, no
-# comment, a nonzero denominator.  Any other line is read token by token.
-ENTRY = re.compile(r"entry (-?[0-9]+) (-?[0-9]+) (-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 # Each header's directives besides ``entry``, in the order a missing one is
 # reported: the usage of a line of integers, or None for chi's rationals.
@@ -54,12 +48,22 @@ def _digits(token):
 
 def parse_rational(token, line_no=0):
     """Parse num or num/den strictly: no decimals, exponents or underscores."""
+    return _fraction(*_rational(token, line_no))
+
+
+def _rational(token, line_no=0):
+    # parse_rational's value as a reduced int pair (num, den), den > 0.
     num, slash, den = token.partition("/")
     if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
         try:
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
+            num = int(num)
+            den = int(den) if slash else 1
+        except ValueError:  # digit limit
             pass
+        else:
+            if den:
+                g = gcd(num, den)
+                return num // g, den // g
     raise ParseError(line_no, f"bad rational {token!r}")
 
 
@@ -78,16 +82,6 @@ def _checked(cls, *fields):
         return cls(*fields)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-
-
-def _fraction(num, den):
-    # The Fraction of a reduced pair, without reducing it again: a Fraction
-    # is its two slots.
-    if den == 1:
-        return Fraction(num)
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = num, den
-    return f
 
 
 def parse_table(text):
@@ -125,27 +119,7 @@ def _read(text):
     fields = {}
     line_of = {}
     entries = {}
-    match = ENTRY.fullmatch
     for line_no, raw in lines:
-        m = match(raw)
-        if m:
-            i, j, num, den = m.groups()
-            try:
-                key = (int(i), int(j))
-                num = int(num)
-                if den is None:
-                    value = (num, 1)
-                else:
-                    den = int(den)
-                    g = gcd(num, den)
-                    value = (num // g, den // g)
-            except ValueError:  # digit limit: read it again token by token
-                pass
-            else:
-                if key in entries:
-                    raise ParseError(line_no, f"duplicate entry {key}")
-                entries[key] = value
-                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,8 +131,7 @@ def _read(text):
             key = (_int(parts[1], line_no), _int(parts[2], line_no))
             if key in entries:
                 raise ParseError(line_no, f"duplicate entry {key}")
-            value = parse_rational(parts[3], line_no)
-            entries[key] = (value.numerator, value.denominator)
+            entries[key] = _rational(parts[3], line_no)
         elif name not in directives:
             raise ParseError(line_no, f"unknown directive {name!r}")
         elif name in fields:

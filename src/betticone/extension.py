@@ -267,9 +267,11 @@ def _separate(x, points):
     rows = [[p[k] - x[k] for p in points] for k in range(d)] + [[1] * m]
     # One artificial variable per row; the right-hand side is (0, ..., 0, 1),
     # and the phase-I objective starts at their sum, 1.
-    tableau = [_cleared(rows[r] + [int(r == s) for s in range(d + 1)] + [int(r == d)])[0]
+    tableau = [_cleared([v.as_integer_ratio() for v in
+                         rows[r] + [int(r == s) for s in range(d + 1)] + [int(r == d)]])[0]
                for r in range(d + 1)]
-    tableau.append(_cleared([sum(column) for column in zip(*rows)] + [0] * (d + 1) + [1])[0])
+    tableau.append(_cleared([v.as_integer_ratio() for v in
+                             [sum(column) for column in zip(*rows)] + [0] * (d + 1) + [1]])[0])
     basis = [m + r for r in range(d + 1)]
     while (entering := next((c for c, v in enumerate(tableau[-1][:-1]) if v > 0), None)) is not None:
         # The entering column has a positive entry: the phase-I objective is

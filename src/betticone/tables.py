@@ -10,11 +10,11 @@ Table arithmetic is one primitive, ``combine`` (a + coeff * b over
 ``CohomologyTable.cells``), costing the two supports plus one chi evaluation
 per twist where the windows differ, never the (n + 1) x window grid.  Two
 cohomology tables are read over their union window by ``_union_cells``
-alone.  Denominators are cleared by ``_cleared`` (a list of rationals) and
-``Numerators`` (a table) alone.  ``first_twists``
-reads the smallest stored twist (degree) of every row (column).  The
-greedies subtract the largest multiple of a unit table in place on a working
-remainder instead of building a table per step.
+alone, and denominators are cleared by ``_cleared`` alone, on reduced int
+(numerator, denominator) pairs.  ``first_twists`` reads the smallest
+stored twist (degree) of every row (column).  The greedies subtract the
+largest multiple of a unit table in place on a working remainder instead
+of building a table per step.
 
 ``validate``, the cohomology greedy and the extension's cancellations run on
 ``Numerators``, a mutable working form holding int numerators over one
@@ -25,14 +25,13 @@ entry point builds it once: ``validate``, ``decompose_cohomology`` and
 ``peel_supernatural`` from its table, ``decide_patterns`` from the split
 table, and the CLI's ``member``, ``validate`` and ``coh-decompose``
 straight from the exchange reader's int pairs, without a
-``CohomologyTable``.  The Betti
-greedy keeps a reduced int (numerator, denominator) pair per cell instead
-(see ``betti_decomposition``): a common denominator would rescale the
-whole table whenever a step's coefficient brings a new one, while a pair
-per cell keeps each peel O(strand).  ``decompose``, ``peel`` and
-``is_member`` take the pairs off a ``BettiTable``; the CLI's ``decompose``
-and ``member`` read them from the file, so a Betti job builds no
-``Fraction`` per entry.
+``CohomologyTable``.  The Betti greedy keeps a reduced int (numerator,
+denominator) pair per cell instead (see ``betti_decomposition``): a common
+denominator would rescale the whole table whenever a step's coefficient
+brings a new one, while a pair per cell keeps each peel O(strand).
+``decompose``, ``peel`` and ``is_member`` take the pairs off a
+``BettiTable``, and the CLI's ``member`` reads them from the file.  Reduced
+pairs become ``Fraction``s through ``_fraction``, with no second gcd.
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -265,11 +264,30 @@ def _union_cells(a, b):
     return (lo, hi), a.cells(lo, hi), b.cells(lo, hi)
 
 
-def _cleared(values):
-    """(ints, den): the given ints or Fractions as int numerators over their
-    least common denominator den > 0."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _cleared(pairs):
+    """(ints, den): a list of reduced (numerator, positive denominator) int
+    pairs, as ``as_integer_ratio`` gives them for ints and Fractions, as int
+    numerators over their least common denominator den > 0."""
+    den = lcm(*(d for _, d in pairs))
+    return [num * (den // d) for num, d in pairs], den
+
+
+def _fraction(num, den=1):
+    # The Fraction num / den of coprime ints, den > 0, without Fraction's
+    # checks and gcd.  This relies on CPython's fractions module, where a
+    # Fraction is its two slots, _numerator and _denominator, and nothing
+    # else (from 3.12 on, Fraction._from_coprime_ints does the same).
+    # tests/test_tables.py checks that such a value hashes, compares and
+    # computes as Fraction(num, den) does.
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
+def _reduced(num, den):
+    # The Fraction num / den for ints, den > 0, from one gcd.
+    g = gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 def chi_eval(t, j):
@@ -412,12 +430,12 @@ class Numerators(_TwistReads):
         reader's (n, window, chi, pairs), each entry a reduced int
         (num, den) pair."""
         if isinstance(t, CohomologyTable):
-            t = t.n, t.window, t.chi, {key: (v.numerator, v.denominator)
+            t = t.n, t.window, t.chi, {key: v.as_integer_ratio()
                                        for key, v in t.entries.items()}
         self.n, self.window, chi, pairs = t
-        self.den = den = lcm(*(c.denominator for c in chi), *(d for _, d in pairs.values()))
-        self.entries = {key: num * (den // d) for key, (num, d) in pairs.items()}
-        self.chi = [c.numerator * (den // c.denominator) for c in chi]
+        ints, self.den = _cleared([*pairs.values(), *(c.as_integer_ratio() for c in chi)])
+        self.entries = dict(zip(pairs, ints))
+        self.chi = ints[len(pairs):]
 
     def copy(self):
         """An independent working copy: ``subtract`` on either one leaves

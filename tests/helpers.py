@@ -625,9 +625,9 @@ _REFERENCE_DIRECTIVES = {
 
 
 def reference_parse_table(text):
-    """The exchange grammar read token by token, every line alike, through
-    ``_int`` and ``parse_rational``, and built by the tables' checking
-    constructors: the parser without its one-pattern entry reader."""
+    """The exchange grammar read token by token through ``_int`` and
+    ``parse_rational`` into ``Fraction``s, and built by the tables' checking
+    constructors: ``parse_table`` without its int-pair reader."""
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

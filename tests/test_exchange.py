@@ -194,7 +194,7 @@ def test_pretty_cohomology_zero_window():
         "h0:   -  -  -\n")
 
 
-# --- the one-pattern entry reader against the token-by-token reference -----
+# --- the int-pair reader against the Fraction reference -------------------
 
 def _outcome(parse, text):
     """A parse's table as its fields, or its ParseError as (line, message)."""
@@ -291,9 +291,9 @@ def test_odd_tokens_read_as_the_reference_reads_them(template, token):
 @pytest.mark.parametrize("first, second", [("entry 2 5 1", "entry\t2 5 3/2"),
                                            ("  entry 2 5 1", "entry 2 5 3/2"),
                                            ("entry 2 5 1", "entry 2 5 1/0")])
-def test_a_duplicate_is_found_whichever_way_each_copy_is_read(first, second):
-    # The pattern reads "entry 2 5 1" and "entry 2 5 3/2"; a tab, a leading
-    # space or a zero denominator sends a line to the token-by-token path.
+def test_a_duplicate_is_found_however_each_copy_is_written(first, second):
+    # The key repeats whatever the spacing or the value, and is reported
+    # before the value of the second copy is read.
     text = f"betti-table v1\nvars 3\n{first}\n# c\n{second}\n"
     with pytest.raises(ParseError) as info:
         parse_table(text)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -257,3 +259,22 @@ def test_table_reprs():
         "BettiTable(vars=2, {(0,0): 1, (1,1): 1/2})"
     assert repr(CohomologyTable(1, (0, 1), {(0, 1): F(2, 3), (0, 0): 1}, (1, F(1, 2)))) == \
         "CohomologyTable(n=1, window=(0, 1), chi=['1', '1/2'], {(0,0): 1, (0,1): 2/3})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+def test_a_fraction_set_through_its_slots_is_the_fraction(num, den):
+    # tables._fraction sets a Fraction's two slots directly, which relies on
+    # CPython's fractions module; the value must hash, compare, print and
+    # compute as Fraction's own, on every supported Python.
+    ref = Fraction(num, den)
+    f = tables._reduced(num, den)
+    assert type(f) is Fraction and f.as_integer_ratio() == ref.as_integer_ratio()
+    assert f == tables._fraction(ref.numerator, ref.denominator)
+    assert hash(f) == hash(ref) and {ref: 1}[f] == 1
+    assert f == ref and f <= ref and f >= ref and not f < ref and f < ref + 1
+    assert (str(f), repr(f), float(f), int(f), round(f)) == \
+        (str(ref), repr(ref), float(ref), int(ref), round(ref))
+    assert (f + 1, f - ref, f * f, f / 3, -f, abs(f), f ** 2) == \
+        (ref + 1, 0, ref * ref, ref / 3, -ref, abs(ref), ref ** 2)
+    assert pickle.loads(pickle.dumps(f)) == ref and copy.copy(f) == ref
