@@ -9,12 +9,12 @@ decides the extension candidates on P^1.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InvalidTable, NotInCone
-from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window,
-                           chi_from_roots, corner_roots)
-from .tables import Numerators, validate
+from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window, _corner,
+                           chi_from_roots)
+from .tables import Numerators, Rows, validate
 
 
 def peel_supernatural(g, roots):
@@ -26,50 +26,60 @@ def peel_supernatural(g, roots):
     (its chi's leading coefficient has turned negative).
     """
     _check_window(roots.roots, *g.window)
-    work = _valid(Numerators(g))
+    work = Rows(_valid(Numerators(g)))
     q = _peel(work, roots)
-    work.window = lo, hi = g.window
-    work.entries = {key: v for key, v in work.entries.items() if lo <= key[1] <= hi}
-    problems = validate(work)
+    rest = work.table(g.window)
+    problems = validate(rest)
     if problems:
         raise NotInCone(0, f"the remainder is not a valid table: {'; '.join(problems)}")
-    return Fraction(*q), work.table()
+    return Fraction(*q), rest
 
 
 def _peel(work, roots, sigmas=None):
     """Subtract the largest multiple q of the unit supernatural table
-    sigma_roots from a valid working table in place, and return q as ints (n, d).
+    sigma_roots from valid ``Rows`` in place, and return q as ints (n, d).
 
-    ``sigmas``, when given, maps a root tuple to sigma's cells on the window
-    and its chi coefficients, and a missing entry is built and kept there.
-    Callers share one map only between tables with the same window.
+    ``sigmas``, when given, maps a root tuple to sigma's row segments and chi
+    coefficients; a missing one is built and kept.  Share it only on one window.
 
     sigma's cells are the ints P = |prod (j - f_k)| over n!, so the ratio at
-    a cell with numerator N is N n! / (den P); the minimum is found by cross
-    multiplication, ties going to the smallest cell.  When q > 0 every cell
-    of sigma lies in the support, so the peel adds no cell, drives none
-    negative and leaves rows, window and edge cells alone; the Euler
-    identity holds by linearity.
+    a cell with numerator N is N n! / (den P); the minimum c / p is found by
+    cross multiplication, ties going to the smallest cell.  When q > 0 every
+    cell of sigma lies in the support, so the peel adds no cell, drives none
+    negative and leaves rows, window and edge cells alone; the Euler identity holds by
+    linearity.  With c / p in lowest terms each v becomes p v - c x over p den (then
+    reduced by the gcd when p > 1), so for p = 1 only sigma's cells change.
     """
-    f = roots.roots
+    f, cells, w, lo = roots.roots, work.cells, work.width, work.window[0]
     built = sigmas.get(f) if sigmas is not None else None
     if built is None:
-        built = list(_cells(f, *work.window)), chi_from_roots(f, 1)
+        built = [(i * w + k, xs) for i, k, xs in _cells(f, *work.window)], chi_from_roots(f, 1)
         if sigmas is not None:
             sigmas[f] = built
     sigma, chi = built
-    entries = work.entries
-    binding = None
-    for key, x in sigma:
-        v = entries.get(key, 0)
-        if binding is None or v * p < c * x:
-            binding, c, p = key, v, x
-            if not v:  # a valid table has no negative cell
-                break
-    if not c:
-        raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
+    binding, c, p = None, 1, 0  # c / p starts above every ratio
+    for start, xs in sigma:
+        for k, x in enumerate(xs, start):
+            if cells[k] * p < c * x:
+                binding, c, p = (k // w, lo + k % w), cells[k], x
+        if not c:  # a valid table has no negative cell
+            raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     q = c * factorial(roots.n), work.den * p
-    work.subtract(c, p, sigma, chi)
+    c, p = c // (g := gcd(c, p)), p // g
+    if p > 1:  # one pass over the cells, with sigma spread out densely
+        work.den *= p
+        dense = [0] * len(cells)
+        for start, xs in sigma:
+            dense[start:start + len(xs)] = xs
+        cells[:] = [p * v - c * x for v, x in zip(cells, dense)]
+    else:
+        for start, xs in sigma:
+            end = start + len(xs)
+            cells[start:end] = [v - c * x for v, x in zip(cells[start:end], xs)]
+    work.chi = [p * a - c * b for a, b in zip(work.chi, chi)]
+    if p > 1 and (g := gcd(work.den, *work.chi, *cells)) > 1:
+        work.den, work.chi = work.den // g, [a // g for a in work.chi]
+        cells[:] = [v // g for v in cells]
     return q
 
 
@@ -97,21 +107,29 @@ def _valid(g):
 
 
 def decompose_valid(work):
-    """``decompose_cohomology`` for the ``Numerators`` from ``_valid``, which
-    it empties.  No peel moves a row's first twist down, so by
+    """``decompose_cohomology`` for the widened ``Numerators`` from
+    ``_valid``.  No peel moves a row's first twist down, so by
     ``corner_roots`` no root does: the roots form a chain without a check."""
-    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(work)))
+    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(Rows(work))))
 
 
 def _decompose(work, sigmas=None):
-    # decompose_valid's greedy on a widened working form, which it empties:
-    # one (q as an int pair, roots) per peel; sigmas as in _peel.  A refusal
-    # is renumbered with the count of peels done before it.
+    # decompose_valid's greedy on a widened table's Rows, which it empties: one (q as
+    # an int pair, roots) per peel; sigmas as in _peel.  Rows' firsts only move right, as
+    # no peel adds a cell.  A refusal's step counts the peels done before it.
     # No guard needed: cells stay >= 0 and tail cells follow chi, so emptied means g = sum q sigma.
-    step = 0
+    cells, lo, width, step, firsts = work.cells, work.window[0], work.width, 0, work.firsts
     try:
-        while not work.is_zero():
-            roots = corner_roots(work)
+        while True:
+            for i, k in enumerate(firsts):
+                start = i * width
+                while k < width and not cells[start + k]:
+                    k += 1
+                firsts[i] = k
+            minima = {i: lo + k for i, k in enumerate(firsts) if k < width}
+            if not minima and not any(work.chi):
+                return
+            roots = _corner(work.n, minima, work.chi)
             yield _peel(work, roots, sigmas), roots
             step += 1
     except NotInCone as exc:

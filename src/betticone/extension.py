@@ -21,7 +21,7 @@ from operator import itemgetter, mul, ne
 
 from .coh_decomposition import _decompose, _second_differences, _valid
 from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
-from .tables import Numerators, _cleared, _own_violations, _union_cells, add_tables
+from .tables import Numerators, Rows, _cleared, _own_violations, _union_cells, add_tables
 
 
 def cancellation_bounds(A, B):
@@ -47,26 +47,18 @@ def apply_cancellation(A, B, pattern):
             raise ValueError(f"rank {v} at {(i, j)} is not an integer")
         if v < 0 or v > bounds.get((i, j), 0):
             raise BoundViolation(i, j, v, bounds.get((i, j), Fraction(0)))
-    ranks = [(key, int(v)) for key, v in pattern.items()]
-    return _cancel(Numerators(add_tables(A, B)), ranks).table()
+    ranks = [(key, int(v)) for key, v in pattern.items() if v]
+    return _cancel(Rows(Numerators(add_tables(A, B))), ranks).table()
 
 
 def _cancel(split, ranks):
-    """A working copy of the split table's ``Numerators`` in which, for each
-    (key (i, j), rank c) of ``ranks``, row i at twist j and row i + 1 at
-    twist j each lose c, that is c * den in numerators; a cell that reaches
-    zero is dropped.  The ranks are ints."""
+    """A copy of the split table's ``Rows`` in which, for each (key (i, j), int rank
+    c) of ``ranks``, rows i and i + 1 lose c (c * den in numerators) at twist j."""
     work = split.copy()
-    entries, den = work.entries, split.den
+    cells, w, lo, den = work.cells, work.width, work.window[0], work.den
     for (i, j), c in ranks:
-        if c:
-            c *= den
-            for key in ((i, j), (i + 1, j)):
-                v = entries.get(key, 0) - c
-                if v:
-                    entries[key] = v
-                else:
-                    entries.pop(key, None)
+        cells[i * w + j - lo] -= c * den
+        cells[(i + 1) * w + j - lo] -= c * den
     return work
 
 
@@ -142,7 +134,7 @@ def _pattern(support, vector):
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """(support, caps, split, rows): the sorted bound support, each key's
-    rank cap, the split table's ``Numerators``, and a lazy stream of rows
+    rank cap, the split table's ``Rows``, and a lazy stream of rows
     (vector, in_cone), one for every candidate rank vector over the
     support, in enumeration order.
 
@@ -161,17 +153,16 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     split = Numerators(add_tables(A, B))
     wide = _valid(split.copy())
     decide = _p1_walk if wide.n == 1 else _greedy
-    return support, caps, split, decide(wide, support, _vectors(groups, group_caps))
+    return support, caps, Rows(split), decide(wide, support, _vectors(groups, group_caps))
 
 
 def _greedy(wide, support, vectors):
-    # Each rank vector with whether the greedy empties the widened split
-    # table cancelled by it, each on its own copy.  All have that window,
-    # so sigma's cells are built once per root sequence.
-    sigmas = {}
+    # Each rank vector with whether the greedy empties the widened split table cancelled
+    # by it, on a copy of its Rows; all share a window, so each sigma is built once.
+    base, sigmas = Rows(wide), {}
     for vector in vectors:
         try:
-            for _ in _decompose(_cancel(wide, zip(support, vector)), sigmas):
+            for _ in _decompose(_cancel(base, zip(support, vector)), sigmas):
                 pass
         except NotInCone:
             yield vector, False

@@ -80,18 +80,21 @@ def _check_window(f, lo, hi):
 
 def _scaled(n, f, unit, window):
     # unit times the integer supernatural table of f, on the window.
-    entries = {key: unit * x for key, x in _cells(f, *window)}
+    entries = {(row, j): unit * x for row, k, xs in _cells(f, *window)
+               for j, x in enumerate(xs, window[0] + k)}
     return CohomologyTable(n, window, entries, chi_from_roots(f, unit))
 
 
 def _cells(f, lo, hi):
-    # ((row, j), |prod_k (j - f_k)|) for every twist of [lo, hi] off the
-    # roots, in sorted order; row i holds the twists between f_{i+1} and f_i.
+    # sigma's cells |prod_k (j - f_k)| on [lo, hi], one prod each, per row i (twists between
+    # f_{i+1} and f_i, below f_1..f_i): (i, first twist's index from lo, values, maybe none).
     n = len(f)
     for row in range(n + 1):
-        top = hi if row == 0 else min(hi, f[row - 1] - 1)
-        for j in range(lo if row == n else max(lo, f[row] + 1), top + 1):
-            yield (row, j), abs(prod(j - fk for fk in f))
+        first = lo if row == n else max(lo, f[row] + 1)
+        last = hi if row == 0 else min(hi, f[row - 1] - 1)
+        columns = [range(first - fk, last + 1 - fk) if k >= row else
+                   range(fk - first, fk - last - 1, -1) for k, fk in enumerate(f)]
+        yield row, first - lo, list(map(prod, zip(*columns)))
 
 
 def _integral_multiple(roots, window):
@@ -100,12 +103,12 @@ def _integral_multiple(roots, window):
     [f_n - 1, f_1 + 1].
 
     The entries are the int cells P over n!, so s = n! / gcd(P); the gcd
-    stops at the first 1, and no table is built.
+    stops at the first row segment that brings it to 1, and no table is built.
     """
     f = roots.roots
     g = 0
-    for _, x in _cells(f, min(window[0], f[-1] - 1), max(window[1], f[0] + 1)):
-        g = gcd(g, x)
+    for _, _, xs in _cells(f, min(window[0], f[-1] - 1), max(window[1], f[0] + 1)):
+        g = gcd(g, *xs)
         if g == 1:
             break
     return Fraction(factorial(roots.n), g)
@@ -136,14 +139,18 @@ def corner_roots(g):
     ``Numerators`` working form.
     Each root is at most the previous one minus 1, so they strictly decrease.
     """
-    minima = first_twists(g)
-    for row in (0, g.n):
-        if row not in minima and any(g.chi):
+    return _corner(g.n, first_twists(g), g.chi)
+
+
+def _corner(n, minima, chi):
+    # corner_roots from chi and each nonempty row's smallest twist (minima).
+    for row in (0, n):
+        if row not in minima and any(chi):
             raise WindowTooSmall(f"row {row} has no support on the window "
                                  f"but continues past its edge")
         if row not in minima:
             raise NotStaircase(0, f"row {row} has no support on the window")
     roots = [minima[0] - 1]
-    for row in range(1, g.n):
+    for row in range(1, n):
         roots.append(min(minima.get(row, roots[-1]), roots[-1]) - 1)
-    return RootSequence._trusted(g.n, tuple(roots))
+    return RootSequence._trusted(n, tuple(roots))

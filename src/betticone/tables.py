@@ -16,11 +16,11 @@ stored twist (degree) of every row (column).  The greedies subtract the
 largest multiple of a unit table in place on a working remainder instead
 of building a table per step.
 
-``validate``, the cohomology greedy and the extension's cancellations run on
-``Numerators``, a mutable working form holding int numerators over one
-common denominator; values leave it as ``Fraction``.  Both forms share
-their reads past the window and how they print (``_TwistReads``).  Each
-entry point builds it once: ``validate``, ``decompose_cohomology`` and
+``validate`` and the P^1 oracle run on ``Numerators``, a mutable working
+form of int numerators over one common denominator, the cohomology greedy
+and the extension's cancellations on its dense ``Rows``; values leave both
+as ``Fraction``.  The table forms share reads and printing (``_TwistReads``).
+Each entry point builds it once: ``validate``, ``decompose_cohomology`` and
 ``p1_oracle`` from the table they are given (or take this form as it is),
 ``peel_supernatural`` from its table, ``decide_patterns`` from the split
 table, and the CLI's ``member``, ``validate`` and ``coh-decompose``
@@ -416,11 +416,11 @@ class Numerators(_TwistReads):
     one positive common denominator ``den``, for the stored entries and for
     chi.
 
-    Values leave it as ``Fraction`` through ``fraction`` and ``table``.
-    Unlike ``CohomologyTable`` it is mutable: ``subtract`` updates it in
-    place.  ``first_twists``, ``corner_roots`` and ``validate`` take either
-    form, and so do the reads ``chi_at``, ``value``, ``cells`` and
-    ``is_zero`` (``_TwistReads``), which give numerators here.
+    Values leave it as ``Fraction`` through ``fraction`` and ``Rows``.  Unlike
+    ``CohomologyTable`` it is mutable: ``_valid`` widens it in place.
+    ``first_twists``, ``corner_roots`` and ``validate`` take either form, and
+    so do the reads ``chi_at``, ``value``, ``cells`` and ``is_zero``
+    (``_TwistReads``), which give numerators here.
     """
 
     __slots__ = ("n", "window", "den", "entries", "chi")
@@ -438,8 +438,8 @@ class Numerators(_TwistReads):
         self.chi = ints[len(pairs):]
 
     def copy(self):
-        """An independent working copy: ``subtract`` on either one leaves
-        the other alone."""
+        """An independent working copy: changing either one's entries
+        leaves the other alone."""
         new = Numerators.__new__(Numerators)
         new.n, new.window, new.den = self.n, self.window, self.den
         new.entries = dict(self.entries)
@@ -450,34 +450,37 @@ class Numerators(_TwistReads):
         """The value whose numerator over ``den`` is v."""
         return Fraction(v, self.den)
 
-    def table(self):
-        """The ``CohomologyTable`` this form stands for."""
-        return CohomologyTable._trusted(
-            self.n, self.window,
-            {key: Fraction(v, self.den) for key, v in self.entries.items()},
+
+class Rows:
+    """Dense working form of a ``Numerators``, not exported: rows 0..n over the
+    window back to back in the int list ``cells`` (row i from i * ``width``), zeros
+    included, and chi, over ``den``.  Peels and cancellations update it in place and
+    only lower cells, so ``firsts`` (each row's first nonzero index) stays a lower bound."""
+
+    __slots__ = ("n", "window", "width", "den", "chi", "cells", "firsts")
+
+    def __init__(self, work):
+        self.n, self.window, self.den, self.chi = work.n, work.window, work.den, work.chi
+        lo, hi = work.window
+        self.width = width = hi - lo + 1
+        self.cells = [0] * ((work.n + 1) * width)
+        for (i, j), v in work.entries.items():
+            self.cells[i * width + j - lo] = v
+        first = first_twists(work)
+        self.firsts = [first.get(i, hi + 1) - lo for i in range(work.n + 1)]
+
+    def copy(self):
+        """An independent working copy."""
+        new = Rows.__new__(Rows)
+        new.n, new.window, new.width, new.den, new.chi, new.cells, new.firsts = (
+            self.n, self.window, self.width, self.den, self.chi, self.cells[:], self.firsts[:])
+        return new
+
+    def table(self, window=None):
+        """The ``CohomologyTable`` it stands for, on a window inside its own."""
+        lo, hi = window or self.window
+        k, w = lo - self.window[0], self.width
+        return CohomologyTable._trusted(self.n, (lo, hi), {
+            (i, j): Fraction(v, self.den) for i in range(self.n + 1)
+            for j, v in enumerate(self.cells[i * w + k:i * w + k + hi - lo + 1], lo) if v},
             tuple(Fraction(c, self.den) for c in self.chi))
-
-    def subtract(self, c, p, cells, chi):
-        """Subtract c / (p * den) times the integer table with the given
-        cells ((i, j), x) and chi coefficients.
-
-        Every numerator becomes p * v - c * x over the denominator p * den,
-        and one gcd reduction keeps them small.  The caller keeps the result
-        nonnegative; a cell that reaches zero is dropped.
-        """
-        old = self.entries
-        new = {}
-        for key, x in cells:
-            v = old.pop(key, 0) * p - c * x
-            if v:
-                new[key] = v
-        for key, v in old.items():
-            new[key] = v * p
-        self.chi = [a * p - c * b for a, b in zip(self.chi, chi)]
-        self.den *= p
-        k = gcd(self.den, *new.values(), *self.chi)
-        if k > 1:
-            self.den //= k
-            new = {key: v // k for key, v in new.items()}
-            self.chi = [a // k for a in self.chi]
-        self.entries = new

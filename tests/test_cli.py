@@ -391,12 +391,12 @@ def test_ext_polytope_builds_no_candidate_table(monkeypatch, capsys):
     # The CLI prints each row from its verdict: one widened copy of the
     # split table, and neither a cancelled copy nor a table.  feasible_set,
     # which returns the tables, cancels each of the 55 in the cone on the
-    # split table.
+    # split table's Rows.
     paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
     a, b = map(cli._load, paths)
     calls = dict.fromkeys(["copy", "table", "_cancel"], 0)
-    for owner, name in ((tables.Numerators, "copy"), (tables.Numerators, "table"),
-                        (extension, "_cancel")):
+    for owner, name in ((tables.Numerators, "copy"), (tables.Rows, "copy"),
+                        (tables.Rows, "table"), (extension, "_cancel")):
         def counted(*args, _name=name, _original=getattr(owner, name)):
             calls[_name] += 1
             return _original(*args)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -344,8 +345,7 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
             built.append(name)
             return original(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(tables.Numerators, "table",
-                        counted("table", tables.Numerators.table))
+    monkeypatch.setattr(tables.Rows, "table", counted("table", tables.Rows.table))
     monkeypatch.setattr(CohomologyTable, "__init__",
                         counted("CohomologyTable", CohomologyTable.__init__))
     trusted = CohomologyTable._trusted.__func__
@@ -547,6 +547,75 @@ def test_peel_supernatural_matches_the_fraction_peel(seed):
         except (NotInCone, WindowTooSmall) as exc:
             return type(exc), str(exc)
     assert peel(peel_supernatural) == peel(reference_widened_peel)
+
+
+def wide_chain_input(rng):
+    """A P^1-P^3 chain combination on a window up to 300 twists wide, its
+    roots spread across it and its multiplicities fractions, so that the
+    greedy's denominators grow; half the time dented once or twice
+    (``chi_neutral_dent``), which mostly makes the greedy refuse mid-way."""
+    n = rng.randint(1, 3)
+    width = rng.randint(n + 3, 300)
+    lo = rng.randint(-width, width)
+    roots = sorted(rng.sample(range(lo + 1, lo + width - 1), n), reverse=True)
+    chain = [RootSequence(n, roots)]
+    for _ in range(rng.randint(0, 4)):
+        stride = max(1, width // 8)
+        moved = []
+        for k, f in enumerate(chain[-1].roots):
+            top = lo + width - 2 if k == 0 else moved[-1] - 1
+            moved.append(min(f + rng.randint(0, stride), top))
+        if tuple(moved) != chain[-1].roots:
+            chain.append(RootSequence(n, moved))
+    t = CohomologyTable(n, (lo, lo + width - 1))
+    for roots in chain:
+        q = F(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 6, 7]))
+        t = add_tables(t, supernatural_table(roots, q, t.window))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            t = chi_neutral_dent(rng, t)
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 48))
+def test_the_row_greedy_matches_the_fraction_greedy_on_wide_windows(seed):
+    t = wide_chain_input(random.Random(seed))
+    assert greedy_outcome(decompose_cohomology, t) == \
+        greedy_outcome(reference_decompose_cohomology, t)
+    if not t.is_zero():
+        roots = corner_roots(t)
+
+        def peel(peeler):
+            try:
+                q, rest = peeler(t, roots)
+                return q, rest.window, rest.entries, rest.chi
+            except NotInCone as exc:
+                return type(exc), str(exc)
+        assert peel(peel_supernatural) == peel(reference_widened_peel)
+
+
+def test_the_wide_inputs_reach_both_peel_branches_and_refusals(monkeypatch):
+    # A peel with c / p in lowest terms rescales the whole row form when
+    # p > 1 and touches only sigma's cells when p = 1; with q = c n! / (den p)
+    # that p is the denominator of q den / n!.
+    branches = {"p = 1": 0, "p > 1": 0}
+    peel = coh_decomposition._peel
+
+    def counted(work, roots, *args):
+        den = work.den
+        q = peel(work, roots, *args)
+        ratio = F(*q) * den / factorial(roots.n)
+        branches["p > 1" if ratio.denominator > 1 else "p = 1"] += 1
+        return q
+    monkeypatch.setattr(coh_decomposition, "_peel", counted)
+    refused_after_peels = 0
+    for seed in range(60):
+        try:
+            decompose_cohomology(wide_chain_input(random.Random(seed)))
+        except NotInCone as exc:
+            refused_after_peels += exc.step > 0
+    assert min(branches.values()) > 10 and refused_after_peels > 5
 
 
 def test_a_refusal_names_the_peels_done_before_it(monkeypatch):

@@ -90,6 +90,13 @@ def test_apply_rejects_excess_rank():
         apply_cancellation(a, b, {(1, 0): 1})
 
 
+def test_apply_accepts_a_zero_rank_anywhere():
+    # a zero rank is within any bound, also at a twist far outside the window
+    a, b = pair()
+    assert (apply_cancellation(a, b, {(0, 1000): 0, (1, -1000): 0, (0, -1): 2})
+            == apply_cancellation(a, b, {(0, -1): 2}))
+
+
 @pytest.mark.parametrize("rank", [F(1, 2), F(9, 2), 1.5, -0.5])
 def test_apply_refuses_a_rank_that_is_not_an_integer(rank):
     a, b = pair()
@@ -465,22 +472,24 @@ def test_the_narrow_pair_is_decided_past_its_window():
 
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         monkeypatch):
-    # One widened copy of the split table and one working copy of it per
-    # candidate; feasible_set adds a copy of the unwidened split table for
-    # each of the 3 candidates in the cone, which becomes its table.
+    # One widened copy of the split table and one working copy of its Rows
+    # per candidate; feasible_set adds a copy of the unwidened split table's
+    # Rows for each of the 3 candidates in the cone, which becomes its table.
     a, b = p2_pair()
     calls = {"copy": 0, "CohDecomposition": 0}
-    copy = tables.Numerators.copy
     init = CohDecomposition.__init__
 
-    def counted_copy(self):
-        calls["copy"] += 1
-        return copy(self)
+    def counting(copy):
+        def counted_copy(self):
+            calls["copy"] += 1
+            return copy(self)
+        return counted_copy
 
     def counted_init(self, *args, **kwargs):
         calls["CohDecomposition"] += 1
         init(self, *args, **kwargs)
-    monkeypatch.setattr(tables.Numerators, "copy", counted_copy)
+    for form in (tables.Numerators, tables.Rows):
+        monkeypatch.setattr(form, "copy", counting(form.copy))
     monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
     rows = list(decide_patterns(a, b)[3])
     assert len(rows) == 6
@@ -493,29 +502,30 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
 
 def test_the_p1_walk_runs_no_greedy(monkeypatch):
     # One widened copy of the split table, and in feasible_set one copy of
-    # the unwidened one for each of the 55 candidates in the cone; no peel,
-    # corner read or sigma cell.
+    # the unwidened one's Rows for each of the 55 candidates in the cone; no
+    # peel, corner read or sigma cell.
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
-    calls = {"copy": 0, "_decompose": 0, "corner_roots": 0, "_cells": 0}
+    calls = {"copy": 0, "_decompose": 0, "_corner": 0, "_cells": 0}
 
     def counting(name, original):
         def counted(*args):
             calls[name] += 1
             return original(*args)
         return counted
-    monkeypatch.setattr(tables.Numerators, "copy", counting("copy", tables.Numerators.copy))
+    for form in (tables.Numerators, tables.Rows):
+        monkeypatch.setattr(form, "copy", counting("copy", form.copy))
     monkeypatch.setattr(extension, "_decompose", counting("_decompose", extension._decompose))
-    for name in ("corner_roots", "_cells"):
+    for name in ("_corner", "_cells"):
         monkeypatch.setattr(coh_decomposition, name,
                             counting(name, getattr(coh_decomposition, name)))
     rows = list(decide_patterns(a, b)[3])
     assert len(rows) == 396
     assert sum(in_cone for _, in_cone in rows) == 55
-    assert calls == {"copy": 1, "_decompose": 0, "corner_roots": 0, "_cells": 0}
+    assert calls == {"copy": 1, "_decompose": 0, "_corner": 0, "_cells": 0}
     calls["copy"] = 0
     assert len(feasible_set(a, b)) == 55
-    assert calls == {"copy": 1 + 55, "_decompose": 0, "corner_roots": 0, "_cells": 0}
+    assert calls == {"copy": 1 + 55, "_decompose": 0, "_corner": 0, "_cells": 0}
 
 
 def test_a_feasible_table_is_the_one_apply_cancellation_gives():
@@ -628,7 +638,7 @@ def _walk_and_greedy(a, b, mode, shift):
     except (InvalidTable, BudgetExceeded):
         return None
     decided = [(dict(zip(support, vector)), table) for vector, table in rows]
-    wide = coh_decomposition._valid(tables.Numerators(add_tables(a, b)))
+    wide = tables.Rows(coh_decomposition._valid(tables.Numerators(add_tables(a, b))))
     greedy = []
     for pattern in enumerate_patterns(a, b, mode, serre_shift=shift):
         try:
