@@ -23,11 +23,10 @@ where a strand runs past the end of a last strand shorter than vars + 1,
 and the greedy refuses there, before peeling it.
 """
 
-from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from .coh_decomposition import decompose_cohomology
+from .coh_decomposition import _decompose as _coh_decompose, _empties, _valid
 from .diagrams import DegreeSequence, _gap_products, _integral, _integral_values, _normalized
 from .errors import InvalidTable, NotInCone, StrandNotIncreasing
 from .exchange import _table
@@ -191,22 +190,9 @@ def recompose(decomposition, vars=1):
 
 
 def is_member(t):
-    """Cone membership of a Betti or cohomology table: does the matching
-    greedy decomposition succeed?  The Betti greedy's steps are drained
-    without building a term."""
+    """Cone membership of a Betti or cohomology table (or its
+    ``Numerators``): does the matching greedy decomposition succeed?  Its
+    steps are drained without building a term."""
     if isinstance(t, BettiTable):
-        return _in_cone(t.vars, _pairs(t))
-    try:
-        decompose_cohomology(t)
-    except NotInCone:
-        return False
-    return True
-
-
-def _in_cone(vars, work):
-    # is_member on a Betti working form, which it empties.
-    try:
-        deque(_decompose(vars, work), maxlen=0)
-    except NotInCone:
-        return False
-    return True
+        return _empties(_decompose(t.vars, _pairs(t)))
+    return _empties(_coh_decompose(_valid(t)))

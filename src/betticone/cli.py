@@ -10,8 +10,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .betti_decomposition import _in_cone, decompose, is_member
-from .coh_decomposition import decompose_cohomology, decompose_valid, p1_oracle
+from .betti_decomposition import _decompose, decompose, is_member
+from .coh_decomposition import _empties, _p1_oracle, _valid, decompose_valid
 from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
 from .exchange import (_checked, _int, _read, _table, parse_rational, parse_table,
@@ -97,7 +97,7 @@ def _cmd_decompose(args):
 
 def _cmd_member(args):
     cls, fields, pairs = _read(_text(args.table))
-    in_cone = (_in_cone(*fields, pairs) if cls is BettiTable
+    in_cone = (_empties(_decompose(*fields, pairs)) if cls is BettiTable
                else is_member(Numerators((*fields, pairs))))
     print(f"in-cone {'yes' if in_cone else 'no'}")
     return 0
@@ -116,15 +116,15 @@ def _cmd_coh_decompose(args):
     if cls is not CohomologyTable:
         raise ParseError(0, "coh-decompose expects a cohomology table file")
     work = Numerators((*fields, pairs))
-    window = work.window  # the greedy widens the working form in place
-    if args.check_oracle and work.n == 1:
-        # The oracle validates the working form, and the greedy then empties it.
+    wide = _valid(work)
+    if args.check_oracle and wide.n == 1:
+        # The oracle reads the widened rows, and the greedy then empties them.
         try:
-            expected = tuple(p1_oracle(work).terms)
+            expected = tuple(_p1_oracle(wide).terms)
         except NotInCone:
             expected = None
         try:
-            result = decompose_valid(work)
+            result = decompose_valid(wide)
         except NotInCone:
             if expected is not None:
                 raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
@@ -132,10 +132,10 @@ def _cmd_coh_decompose(args):
         if expected != tuple(result.terms):
             raise OracleMismatch("oracle and greedy decomposition disagree")
     else:
-        result = decompose_cohomology(work)
+        result = decompose_valid(wide)
     for coeff, roots in result:
         if args.integral:
-            s = _integral_multiple(roots, window)
+            s = _integral_multiple(roots, work.window)
             print(f"term {coeff / s} roots={roots} multiple={s}")
         else:
             print(f"term {coeff} roots={roots}")

@@ -2,14 +2,17 @@
 
 Mirrors the Betti-side greedy: read the staircase corners, subtract the
 largest multiple of the matching unit supernatural table that keeps the
-window nonnegative, and repeat, on the table widened by its tail cells.  A
-closed-form second difference oracle on P^1, on int numerators,
-cross-checks the whole pipeline; its reader of the second differences also
-decides the extension candidates on P^1.
+window nonnegative, and repeat, on the table widened by its tail cells
+(the ``Rows`` that ``_valid`` returns).  A closed-form second difference
+oracle on P^1, on the same ints, cross-checks the whole pipeline; its
+reader of the second differences also decides the extension candidates on
+P^1.  ``_empties`` drains a greedy (this one, the Betti one, or the
+extension's) into a yes or no.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import add
 
 from .errors import InvalidTable, NotInCone
 from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window, _corner,
@@ -26,7 +29,7 @@ def peel_supernatural(g, roots):
     (its chi's leading coefficient has turned negative).
     """
     _check_window(roots.roots, *g.window)
-    work = Rows(_valid(Numerators(g)))
+    work = _valid(g)
     q = _peel(work, roots)
     rest = work.table(g.window)
     problems = validate(rest)
@@ -94,23 +97,32 @@ def decompose_cohomology(g):
 
 
 def _valid(g):
-    # The Numerators of g (g itself when it is one), refused when invalid,
-    # then widened in place to its cells n + 1 twists past each window edge.
+    # The Rows of g's cells n + 1 twists past each window edge, once g (a
+    # table or its Numerators, which are left as they are) is found valid.
     work = g if isinstance(g, Numerators) else Numerators(g)
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
     lo, hi = work.window
-    W = lo - work.n - 1, hi + work.n + 1
-    work.entries, work.window = work.cells(*W), W
-    return work
+    return Rows(work, (lo - work.n - 1, hi + work.n + 1))
 
 
-def decompose_valid(work):
-    """``decompose_cohomology`` for the widened ``Numerators`` from
-    ``_valid``.  No peel moves a row's first twist down, so by
+def decompose_valid(wide):
+    """``decompose_cohomology`` on the widened ``Rows`` from ``_valid``,
+    which it empties.  No peel moves a row's first twist down, so by
     ``corner_roots`` no root does: the roots form a chain without a check."""
-    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(Rows(work))))
+    return CohDecomposition(tuple((Fraction(*q), roots) for q, roots in _decompose(wide)))
+
+
+def _empties(steps):
+    # Whether a greedy's steps run to the end, emptying its table, rather
+    # than refuse (NotInCone); the steps themselves are dropped.
+    try:
+        for _ in steps:
+            pass
+    except NotInCone:
+        return False
+    return True
 
 
 def _decompose(work, sigmas=None):
@@ -141,25 +153,29 @@ def p1_oracle(g):
 
     With T(j) = gamma_0(j) + gamma_1(j), a table in the cone satisfies
     T = sum m_f |j - f|, so m_f is half the second difference of T at f.
-    ``_second_differences`` reads them off the widened form (``_valid``),
-    and any negative one means the table is outside the cone.  The check
-    shares no code with the greedy.  g may be given as its ``Numerators``,
-    which is widened in place.
+    ``_second_differences`` reads them off the widened ``Rows``
+    (``_valid``), and any negative one means the table is outside the cone.
+    The check shares no code with the greedy.  g may be given as its
+    ``Numerators``, which it leaves as they are.
     """
     if g.n != 1:
         raise ValueError(f"oracle only applies on P^1, got n = {g.n}")
-    w = _valid(g)
-    diffs = _second_differences(w)
+    return _p1_oracle(_valid(g))
+
+
+def _p1_oracle(wide):
+    # p1_oracle on the widened P^1 Rows from _valid, which it only reads.
+    diffs = _second_differences(wide)
     for f, m in diffs.items():
         if m < 0:
-            raise NotInCone(0, f"negative second difference {w.fraction(m)} at j = {f}")
-    return CohDecomposition(tuple((Fraction(m, 2 * w.den), RootSequence(1, (f,)))
+            raise NotInCone(0, f"negative second difference {Fraction(m, wide.den)} at j = {f}")
+    return CohDecomposition(tuple((Fraction(m, 2 * wide.den), RootSequence(1, (f,)))
                                   for f, m in diffs.items() if m))
 
 
 def _second_differences(w):
     """The second differences M_f = T(f + 1) - 2 T(f) + T(f - 1) of
-    T = row 0 + row 1 of a widened P^1 working form (``_valid``), as ints
+    T = row 0 + row 1 of widened P^1 ``Rows`` (``_valid``), as ints
     (2 den m_f) for f strictly inside its window, in order.
 
     S = sum M_f |j - f| / (2 den) has T's second differences, and past the
@@ -167,9 +183,8 @@ def _second_differences(w):
     (-sum f M_f, sum M_f) = 2 den (c_0, c_1).  That identity needs no
     check: summed by parts, the two sums keep only T at the four outermost
     twists, which are +-chi there by construction (``cells``), so it holds
-    on every widened form, valid or not.
+    on the widened ``Rows`` of every table, valid or not.
     """
     lo, hi = w.window  # two twists past each edge of the table's window
-    entries = w.entries
-    T = [entries.get((0, j), 0) + entries.get((1, j), 0) for j in range(lo, hi + 1)]
+    T = list(map(add, w.cells[:w.width], w.cells[w.width:]))
     return {f: T[k + 1] - 2 * T[k] + T[k - 1] for k, f in enumerate(range(lo + 1, hi), 1)}

@@ -19,8 +19,8 @@ from itertools import compress, product
 from math import floor, gcd, prod
 from operator import itemgetter, mul, ne
 
-from .coh_decomposition import _decompose, _second_differences, _valid
-from .errors import BoundViolation, BudgetExceeded, InvalidTable, NotInCone
+from .coh_decomposition import _decompose, _empties, _second_differences, _valid
+from .errors import BoundViolation, BudgetExceeded, InvalidTable
 from .tables import Numerators, Rows, _cleared, _own_violations, _union_cells, add_tables
 
 
@@ -143,31 +143,27 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
     tails alone, so every cancelled table is valid too, and drawing the
-    rows raises nothing.  The split table is widened once, on a copy, by
-    ``_valid``.  On P^1 the verdicts come from ``_p1_walk`` on the second
-    differences, with no greedy; on P^2 and P^3 from ``_greedy``.  No table
-    is built: a reader that wants one cancels the vector on ``split``, as
-    ``feasible_set`` does, so it keeps the split table's window.
+    rows raises nothing.  The split table's ``Numerators`` are read twice:
+    into their own ``Rows`` and, by ``_valid``, into the widened ``Rows``
+    that decide every candidate.  On P^1 the verdicts come from
+    ``_p1_walk`` on the second differences, with no greedy; on P^2 and P^3
+    from ``_greedy``.  No table is built: a reader that wants one cancels
+    the vector on ``split``, as ``feasible_set`` does, so it keeps the
+    split table's window.
     """
     support, caps, groups, group_caps = _box(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
-    wide = _valid(split.copy())
+    wide = _valid(split)
     decide = _p1_walk if wide.n == 1 else _greedy
     return support, caps, Rows(split), decide(wide, support, _vectors(groups, group_caps))
 
 
 def _greedy(wide, support, vectors):
-    # Each rank vector with whether the greedy empties the widened split table cancelled
-    # by it, on a copy of its Rows; all share a window, so each sigma is built once.
-    base, sigmas = Rows(wide), {}
+    # Each rank vector with whether the greedy empties the widened split table's Rows
+    # cancelled by it, on a copy; all share a window, so each sigma is built once.
+    sigmas = {}
     for vector in vectors:
-        try:
-            for _ in _decompose(_cancel(base, zip(support, vector)), sigmas):
-                pass
-        except NotInCone:
-            yield vector, False
-        else:
-            yield vector, True
+        yield vector, _empties(_decompose(_cancel(wide, zip(support, vector)), sigmas))
 
 
 def _p1_walk(wide, support, vectors):

@@ -16,12 +16,17 @@ stored twist (degree) of every row (column).  The greedies subtract the
 largest multiple of a unit table in place on a working remainder instead
 of building a table per step.
 
-``validate`` and the P^1 oracle run on ``Numerators``, a mutable working
-form of int numerators over one common denominator, the cohomology greedy
-and the extension's cancellations on its dense ``Rows``; values leave both
-as ``Fraction``.  The table forms share reads and printing (``_TwistReads``).
-Each entry point builds it once: ``validate``, ``decompose_cohomology`` and
-``p1_oracle`` from the table they are given (or take this form as it is),
+``validate`` reads ``Numerators``, the sparse working form of a cohomology
+table: int numerators over one common denominator.  Every verdict reads
+``Rows``, a dense form of the same ints, over the window widened by n + 1
+twists past each edge, that ``coh_decomposition._valid`` returns for a
+valid table: the cohomology greedy, ``peel_supernatural``, the P^1 oracle
+and the extension's candidates.  Peels and cancellations change a ``Rows``
+(or a copy of one), never the ``Numerators`` it was read from; values leave
+both forms as ``Fraction``.  The table forms share reads and printing
+(``_TwistReads``).  Each entry point builds the ``Numerators`` once:
+``validate``, ``decompose_cohomology``, ``is_member`` and ``p1_oracle``
+from the table they are given (or take this form as it is),
 ``peel_supernatural`` from its table, ``decide_patterns`` from the split
 table, and the CLI's ``member``, ``validate`` and ``coh-decompose``
 straight from the exchange reader's int pairs, without a
@@ -412,13 +417,14 @@ def _own_violations(t):
 
 
 class Numerators(_TwistReads):
-    """Working form of a cohomology table, not exported: int numerators over
-    one positive common denominator ``den``, for the stored entries and for
-    chi.
+    """Sparse working form of a cohomology table, not exported: int numerators
+    over one positive common denominator ``den``, for the stored entries and
+    for chi.
 
-    Values leave it as ``Fraction`` through ``fraction`` and ``Rows``.  Unlike
-    ``CohomologyTable`` it is mutable: ``_valid`` widens it in place.
-    ``first_twists``, ``corner_roots`` and ``validate`` take either form, and
+    Values leave it as ``Fraction`` through ``fraction``.  No code changes
+    one once it is built: ``validate`` reads it, and the verdicts read the
+    ``Rows`` that ``_valid`` fills from its ``cells``.  ``first_twists``,
+    ``corner_roots`` and ``validate`` take either a table or this form, and
     so do the reads ``chi_at``, ``value``, ``cells`` and ``is_zero``
     (``_TwistReads``), which give numerators here.
     """
@@ -437,37 +443,32 @@ class Numerators(_TwistReads):
         self.entries = dict(zip(pairs, ints))
         self.chi = ints[len(pairs):]
 
-    def copy(self):
-        """An independent working copy: changing either one's entries
-        leaves the other alone."""
-        new = Numerators.__new__(Numerators)
-        new.n, new.window, new.den = self.n, self.window, self.den
-        new.entries = dict(self.entries)
-        new.chi = list(self.chi)
-        return new
-
     def fraction(self, v):
         """The value whose numerator over ``den`` is v."""
         return Fraction(v, self.den)
 
 
 class Rows:
-    """Dense working form of a ``Numerators``, not exported: rows 0..n over the
-    window back to back in the int list ``cells`` (row i from i * ``width``), zeros
-    included, and chi, over ``den``.  Peels and cancellations update it in place and
-    only lower cells, so ``firsts`` (each row's first nonzero index) stays a lower bound."""
+    """Dense working form of a ``Numerators``, not exported: its ``cells`` on
+    rows 0..n over ``window`` (its own, or a wider one with the tail cells)
+    back to back in one int list, row i from i * ``width``, zeros included,
+    with its chi and ``den``.  ``firsts`` starts as each row's first nonzero
+    index (``width`` when empty); peels and cancellations only lower cells
+    in place, so it stays a lower bound, which the greedy moves right."""
 
     __slots__ = ("n", "window", "width", "den", "chi", "cells", "firsts")
 
-    def __init__(self, work):
-        self.n, self.window, self.den, self.chi = work.n, work.window, work.den, work.chi
-        lo, hi = work.window
+    def __init__(self, work, window=None):
+        n, (lo, hi) = work.n, window or work.window
+        self.n, self.window, self.den, self.chi = n, (lo, hi), work.den, work.chi
         self.width = width = hi - lo + 1
-        self.cells = [0] * ((work.n + 1) * width)
-        for (i, j), v in work.entries.items():
-            self.cells[i * width + j - lo] = v
-        first = first_twists(work)
-        self.firsts = [first.get(i, hi + 1) - lo for i in range(work.n + 1)]
+        self.cells = cells = [0] * ((n + 1) * width)
+        self.firsts = firsts = [width] * (n + 1)
+        for (i, j), v in work.cells(lo, hi).items():
+            k = j - lo
+            cells[i * width + k] = v
+            if k < firsts[i]:
+                firsts[i] = k
 
     def copy(self):
         """An independent working copy."""

@@ -388,25 +388,25 @@ def test_ext_polytope_enumerates_and_validates_once(monkeypatch, capsys):
 
 
 def test_ext_polytope_builds_no_candidate_table(monkeypatch, capsys):
-    # The CLI prints each row from its verdict: one widened copy of the
-    # split table, and neither a cancelled copy nor a table.  feasible_set,
-    # which returns the tables, cancels each of the 55 in the cone on the
-    # split table's Rows.
+    # The CLI prints each row from its verdict: no copy of the split table,
+    # no cancelled copy and no table.  feasible_set, which returns the
+    # tables, cancels each of the 55 in the cone on the split table's Rows.
     paths = [str(FIXTURES / name) for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct")]
     a, b = map(cli._load, paths)
+    assert not hasattr(tables.Numerators, "copy")
     calls = dict.fromkeys(["copy", "table", "_cancel"], 0)
-    for owner, name in ((tables.Numerators, "copy"), (tables.Rows, "copy"),
-                        (tables.Rows, "table"), (extension, "_cancel")):
+    for owner, name in ((tables.Rows, "copy"), (tables.Rows, "table"),
+                        (extension, "_cancel")):
         def counted(*args, _name=name, _original=getattr(owner, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(owner, name, counted)
     code, out, _ = run_cli(capsys, "ext-polytope", *paths)
     assert code == 0 and out.count("\tY\t") == 55
-    assert calls == {"copy": 1, "table": 0, "_cancel": 0}
+    assert calls == {"copy": 0, "table": 0, "_cancel": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert len(extension.feasible_set(a, b)) == 55
-    assert calls == {"copy": 1 + 55, "table": 55, "_cancel": 55}
+    assert calls == {"copy": 55, "table": 55, "_cancel": 55}
 
 
 def test_ext_polytope_prints_each_row_as_it_is_decided(monkeypatch):
@@ -464,9 +464,9 @@ def test_an_integral_multiple_reads_the_staircase_past_the_window(tmp_path, caps
 
 
 def test_check_oracle_flags_an_oracle_no_against_a_greedy_yes(monkeypatch, capsys):
-    def rejects(table):
+    def rejects(wide):
         raise NotInCone(0, "stub")
-    monkeypatch.setattr(cli, "p1_oracle", rejects)
+    monkeypatch.setattr(cli, "_p1_oracle", rejects)
     code, out, err = run_cli(capsys, "coh-decompose", str(FIXTURES / "p1_split.ct"),
                              "--check-oracle")
     assert (code, out) == (1, "")
@@ -475,7 +475,7 @@ def test_check_oracle_flags_an_oracle_no_against_a_greedy_yes(monkeypatch, capsy
 
 def test_check_oracle_flags_an_oracle_yes_against_a_greedy_no(monkeypatch, capsys):
     path = str(FIXTURES / "p1_tail_guard.ct")
-    monkeypatch.setattr(cli, "p1_oracle", lambda table: CohDecomposition(()))
+    monkeypatch.setattr(cli, "_p1_oracle", lambda wide: CohDecomposition(()))
     code, out, err = run_cli(capsys, "coh-decompose", path, "--check-oracle")
     assert (code, out) == (1, "")
     assert err == "oracle-mismatch: the oracle decomposes a table the greedy rejects\n"

@@ -17,6 +17,7 @@ from betticone import (CohomologyTable, InvalidTable, NotInCone, NotStaircase,
                        line_bundle_table, p1_oracle, parse_table,
                        peel_supernatural, scale, serialize_table,
                        supernatural_table, validate)
+from betticone.supernatural import CohDecomposition
 from betticone.tables import combine
 from helpers import (chi_neutral_dent, random_root_chain,
                      reference_decompose_cohomology, reference_p1_oracle,
@@ -326,18 +327,25 @@ def test_oracle_builds_no_supernatural_table(monkeypatch):
     (split_table, True), (tail_guard_table, False),
     (lambda: line_bundle_table(1, 0, (0, 5)), True)])
 def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
-    # Given the Numerators, the oracle widens them in place by two tail
-    # twists on each side and changes nothing else, and it goes back
+    # Given the Numerators, the oracle reads the Rows widened by two tail
+    # twists on each side, leaves the Numerators as they are, and goes back
     # neither to a CohomologyTable nor to Fraction arithmetic; only its
     # terms and its refusal text are Fractions.
     t = table()
     expected = outcome(p1_oracle, t)
     work = tables.Numerators(t)
     lo, hi = t.window
-    widened = tables.Numerators(CohomologyTable(1, (lo - 2, hi + 2), t.cells(lo - 2, hi + 2),
-                                                t.chi))
+    widened = tables.Rows(tables.Numerators(
+        CohomologyTable(1, (lo - 2, hi + 2), t.cells(lo - 2, hi + 2), t.chi)))
     assert widened.den == work.den
-    before = work.den, widened.window, widened.entries, list(work.chi)
+    before = numerators_state(work)
+    read = []
+    reader = coh_decomposition._p1_oracle
+
+    def spied(wide):
+        read.append(rows_state(wide))
+        return reader(wide)
+    monkeypatch.setattr(coh_decomposition, "_p1_oracle", spied)
     built = []
 
     def counted(name, original):
@@ -360,25 +368,117 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
     monkeypatch.undo()
     assert ops == []
     assert got == expected and isinstance(got, list) == accepted
-    assert (work.den, work.window, work.entries, work.chi) == before
+    assert read == [rows_state(widened)]
+    assert numerators_state(work) == before
+
+
+def numerators_state(work):
+    # Everything a Numerators holds, copied.
+    return work.n, work.window, work.den, dict(work.entries), list(work.chi)
+
+
+def rows_state(rows):
+    # Everything a Rows holds, copied.
+    return (rows.n, rows.window, rows.width, rows.den, list(rows.chi), list(rows.cells),
+            list(rows.firsts))
 
 
 @pytest.mark.parametrize("table", [
     rank3_bundle,
     lambda: scale(supernatural_table(RootSequence(3, (2, 0, -1)), 1, (-3, 3)), F(5, 2))])
 def test_the_working_form_is_widened_by_its_tail_cells(table):
-    # On P^2 and P^3 too (n even flips the left tail's sign), _valid widens
-    # the Numerators in place by n + 1 twists on each side to exactly the
-    # table's cells there, in the same order, with the same den and chi.
+    # On P^2 and P^3 too (n even flips the left tail's sign), _valid returns
+    # new Rows widened by n + 1 twists on each side to exactly the table's
+    # cells there, with the same den and chi, and leaves the Numerators be.
     t = table()
     n, (lo, hi) = t.n, t.window
     W = lo - n - 1, hi + n + 1
-    widened = tables.Numerators(CohomologyTable(n, W, t.cells(*W), t.chi))
+    widened = tables.Rows(tables.Numerators(CohomologyTable(n, W, t.cells(*W), t.chi)))
     work = tables.Numerators(t)
-    assert coh_decomposition._valid(work) is work
-    assert (work.den, work.window, list(work.entries.items()), work.chi) == \
-        (widened.den, W, list(widened.entries.items()), widened.chi)
-    assert any(i == n and j < lo for i, j in work.entries)
+    before = numerators_state(work)
+    wide = coh_decomposition._valid(work)
+    assert isinstance(wide, tables.Rows)
+    assert rows_state(wide) == rows_state(widened)
+    assert wide.window == W and wide.den == work.den and wide.chi == work.chi
+    assert any(wide.cells[n * wide.width:n * wide.width + lo - W[0]])
+    assert numerators_state(work) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 48), st.integers(1, 3), st.integers(0, 2), st.booleans())
+def test_valid_returns_the_widened_rows_and_changes_nothing(seed, n, dents, cut):
+    # A P^1-P^3 chain sum, dented up to twice and maybe cut to a window
+    # inside its staircase: _valid's Rows hold, cell by cell, the rows of
+    # the table on the window widened by n + 1 twists, with its den and chi
+    # and each row's exact first nonzero index; neither _valid nor an entry
+    # point given the Numerators changes them.
+    rng = random.Random(seed)
+    _, t = root_chain_combination(rng, random_root_chain(rng, n))
+    for _ in range(dents):
+        t = chi_neutral_dent(rng, t)
+    lo, hi = t.window
+    if cut and hi - lo > 8:
+        lo, hi = lo + rng.randint(0, 4), hi - rng.randint(0, 4)
+        t = CohomologyTable(n, (lo, hi), {(i, j): v for (i, j), v in t.entries.items()
+                                          if lo <= j <= hi}, t.chi)
+    W = lo - n - 1, hi + n + 1
+    wt = CohomologyTable(n, W, t.cells(*W), t.chi)
+    work = tables.Numerators(t)
+    before = numerators_state(work)
+    try:
+        wide = coh_decomposition._valid(work)
+    except InvalidTable:
+        assert validate(t)
+    else:
+        assert validate(t) == []
+        assert (wide.n, wide.window, wide.width) == (n, W, W[1] - W[0] + 1)
+        assert wide.den == tables.Numerators(wt).den
+        assert [F(c, wide.den) for c in wide.chi] == list(wt.chi)
+        for i in range(n + 1):
+            row = [wt.value(i, j) for j in range(W[0], W[1] + 1)]
+            assert [F(v, wide.den) for v in wide.cells[i * wide.width:(i + 1) * wide.width]] \
+                == row
+            assert wide.firsts[i] == next((k for k, v in enumerate(row) if v), wide.width)
+    assert numerators_state(work) == before
+    entry_points = [is_member, validate, decompose_cohomology] + [p1_oracle] * (n == 1)
+    for entry_point in entry_points:
+        try:
+            entry_point(work)
+        except (InvalidTable, NotInCone):
+            pass
+        assert numerators_state(work) == before, entry_point.__name__
+
+
+@pytest.mark.parametrize("table", [rank3_bundle, split_table, tail_guard_table])
+def test_cohomology_member_builds_no_terms(monkeypatch, capsys, tmp_path, table):
+    # is_member drains the greedy's steps and the CLI's member calls it on
+    # the file's Numerators: neither builds a decomposition, which
+    # decompose_cohomology does once.
+    t = table()
+    path = tmp_path / "t.ct"
+    path.write_text(serialize_table(t))
+    calls = {"__init__": 0, "_trusted": 0}
+    init, trusted = CohDecomposition.__init__, CohDecomposition._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        calls["__init__"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *fields):
+        calls["_trusted"] += 1
+        return trusted(cls, *fields)
+    monkeypatch.setattr(CohDecomposition, "__init__", counted_init)
+    monkeypatch.setattr(CohDecomposition, "_trusted", classmethod(counted_trusted))
+    in_cone = table is not tail_guard_table
+    assert is_member(t) is in_cone
+    assert cli.main(["member", str(path)]) == 0
+    assert capsys.readouterr().out == f"in-cone {'yes' if in_cone else 'no'}\n"
+    assert calls == {"__init__": 0, "_trusted": 0}
+    try:
+        decompose_cohomology(t)
+    except NotInCone:
+        pass
+    assert calls == {"__init__": in_cone, "_trusted": 0}
 
 
 @settings(max_examples=200, deadline=None)
@@ -718,9 +818,9 @@ def test_the_second_differences_always_reconstruct_chi(seed):
     # Widened as _valid widens, without its validation, the second
     # differences M_f satisfy (-sum f M_f, sum M_f) = 2 den (c_0, c_1) on
     # every form, so the P^1 verdict needs nothing but their signs.
-    w = tables.Numerators(random_p1_form(random.Random(seed)))
-    lo, hi = w.window
-    w.entries, w.window = w.cells(lo - 2, hi + 2), (lo - 2, hi + 2)
+    work = tables.Numerators(random_p1_form(random.Random(seed)))
+    lo, hi = work.window
+    w = tables.Rows(work, (lo - 2, hi + 2))
     diffs = coh_decomposition._second_differences(w)
     c0, c1 = w.chi
     assert sum(diffs.values()) == 2 * c1
