@@ -5,6 +5,7 @@ statuses: 0 success, 1 domain errors (printed as ``code: detail``), 2 usage
 or parse errors, 141 (128 + SIGPIPE) when stdout's reader has gone.
 """
 
+import gc
 import os
 import re
 import sys
@@ -301,7 +302,8 @@ def _parse(argv):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    entry = argv is None
+    argv = list(sys.argv[1:] if entry else argv)
     try:
         args = _parse(argv)
         status = args.handler(args) if args else 0
@@ -320,6 +322,9 @@ def main(argv=None):
     except ValueError as exc:  # grammar errors, preconditions on inline arguments
         print(f"usage-error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if entry:  # the process ends next: its exit collections need not walk this heap
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import random
@@ -715,3 +716,66 @@ def test_a_refused_chain_prints_no_term(capsys, argv):
     code, out, err = run_cli(capsys, *argv, str(FIXTURES / "chain_v6_120_dented.bt"))
     assert (code, out) == (1, "")
     assert err.startswith("not-in-cone: step 80:")
+
+
+# Run as the console script does: main() reads sys.argv.  The atexit hook
+# runs after main has returned and reports whether it froze the heap.
+ENTRY = ("import atexit, gc, sys\n"
+         "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+         "sys.argv = ['betticone'] + sys.argv[1:]\n"
+         "from betticone.cli import main\n"
+         "sys.exit(main())\n")
+PURE = ["pure", "-d", "0,1", "--vars", "1"]
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (PURE, 0, "diagram window=0 degrees=0,1 values=1,1\n", ""),
+    (["decompose", "fixtures/chain_v6_120_dented.bt"], 1, "", "not-in-cone: step 80:"),
+    (["validate", "no-such-file.bt"], 2, "", "parse-error: "),
+])
+def test_the_process_entry_freezes_the_heap_on_every_exit(argv, status, out, err):
+    result = subprocess.run([sys.executable, "-S", "-c", ENTRY, *argv],
+                            capture_output=True, text=True, cwd=FIXTURES.parent)
+    assert (result.returncode, result.stdout) == (status, out + "True\n")
+    assert result.stderr.startswith(err) and bool(result.stderr) == bool(err)
+
+
+def _pure_raises(monkeypatch, exc):
+    def handler(args):
+        raise exc
+    monkeypatch.setitem(cli._GRAMMAR, "pure", (handler, *cli._GRAMMAR["pure"][1:]))
+
+
+@pytest.mark.parametrize("argv, raises, status", [
+    (PURE, None, 0),
+    (["decompose", str(FIXTURES / "chain_v6_120_dented.bt")], None, 1),
+    (["validate", "no-such-file.bt"], None, 2),
+    (["decompose", "--frobnicate"], None, 2),
+    (PURE, BrokenPipeError, 141),
+    (PURE, RuntimeError, None),
+])
+def test_main_with_an_argv_keeps_a_normal_collector(monkeypatch, argv, raises, status):
+    if raises:
+        _pure_raises(monkeypatch, raises())
+    before = gc.get_freeze_count(), gc.isenabled()
+    # a sink with a file descriptor, which the closed-pipe exit redirects
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        if status is None:
+            with pytest.raises(raises):
+                main(argv)
+        else:
+            assert main(argv) == status
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_process_entry_freezes_when_an_exception_escapes(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["betticone", *PURE])
+    _pure_raises(monkeypatch, RuntimeError())
+    assert gc.get_freeze_count() == 0
+    try:
+        with pytest.raises(RuntimeError):
+            main()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
