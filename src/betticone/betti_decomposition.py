@@ -29,8 +29,7 @@ from math import gcd
 from .coh_decomposition import _decompose as _coh_decompose, _empties, _valid
 from .diagrams import DegreeSequence, _gap_products, _integral, _integral_values, _normalized
 from .errors import InvalidTable, NotInCone, StrandNotIncreasing
-from .exchange import _table
-from .tables import BettiTable, Record, _reduced, combine, first_twists, validate
+from .tables import BettiTable, Record, _reduced, _table, combine, first_twists, validate
 
 
 class BettiDecomposition(Record):

@@ -15,12 +15,12 @@ from .betti_decomposition import _decompose, decompose, is_member
 from .coh_decomposition import _empties, _p1_oracle, _valid, decompose_valid
 from .diagrams import DegreeSequence, integral_diagram, normalized_diagram
 from .errors import BettiConeError, NotInCone, OracleMismatch, ParseError
-from .exchange import (_checked, _int, _read, _table, parse_rational, parse_table,
-                       pretty_betti, pretty_cohomology, serialize_table)
+from .exchange import (_checked, _int, _read, parse_rational, parse_table, pretty_betti,
+                       pretty_cohomology, serialize_table)
 from .extension import _hull_vertices, decide_patterns
 from .stillman import scan
 from .supernatural import RootSequence, _integral_multiple, supernatural_table
-from .tables import BettiTable, CohomologyTable, Numerators, validate
+from .tables import BettiTable, CohomologyTable, Numerators, _table, validate
 
 
 def _text(path):

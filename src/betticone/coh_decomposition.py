@@ -50,8 +50,9 @@ def _peel(work, roots, sigmas=None):
     cross multiplication, ties going to the smallest cell.  When q > 0 every
     cell of sigma lies in the support, so the peel adds no cell, drives none
     negative and leaves rows, window and edge cells alone; the Euler identity holds by
-    linearity.  With c / p in lowest terms each v becomes p v - c x over p den (then
-    reduced by the gcd when p > 1), so for p = 1 only sigma's cells change.
+    linearity.  With c / p in lowest terms each v becomes p v - c x over p den:
+    when p > 1 every cell is first multiplied by p, then c x is subtracted on
+    sigma's row segments alone, and the result is reduced by the gcd.
     """
     f, cells, w, lo = roots.roots, work.cells, work.width, work.window[0]
     built = sigmas.get(f) if sigmas is not None else None
@@ -69,16 +70,12 @@ def _peel(work, roots, sigmas=None):
             raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
     q = c * factorial(roots.n), work.den * p
     c, p = c // (g := gcd(c, p)), p // g
-    if p > 1:  # one pass over the cells, with sigma spread out densely
+    if p > 1:  # a new denominator: every cell is rescaled to it first
         work.den *= p
-        dense = [0] * len(cells)
-        for start, xs in sigma:
-            dense[start:start + len(xs)] = xs
-        cells[:] = [p * v - c * x for v, x in zip(cells, dense)]
-    else:
-        for start, xs in sigma:
-            end = start + len(xs)
-            cells[start:end] = [v - c * x for v, x in zip(cells[start:end], xs)]
+        cells[:] = [p * v for v in cells]
+    for start, xs in sigma:
+        end = start + len(xs)
+        cells[start:end] = [v - c * x for v, x in zip(cells[start:end], xs)]
     work.chi = [p * a - c * b for a, b in zip(work.chi, chi)]
     if p > 1 and (g := gcd(work.den, *work.chi, *cells)) > 1:
         work.den, work.chi = work.den // g, [a // g for a in work.chi]

@@ -17,7 +17,7 @@ One reader, ``_read``, turns a file into the header's checked fields and
 the entries as reduced int (numerator, positive denominator) pairs, token
 by token (``_int``, ``_rational``), with no ``Fraction`` per entry.
 ``parse_table`` wraps the pairs in ``Fraction``s without reducing them
-again; the CLI's ``member`` hands a Betti table's pairs to the greedy as
+again (``tables._table``); the CLI's ``member`` hands a Betti table's pairs to the greedy as
 they are, and its ``member``, ``validate`` and ``coh-decompose`` build a
 cohomology table's ``Numerators`` from them (``tables``).
 The pretty printers emit the human-readable grids (Betti entry (i, j) at
@@ -28,7 +28,7 @@ row 0 at the bottom) and are not meant to be re-parsed.
 from math import gcd
 
 from .errors import ParseError
-from .tables import BettiTable, CohomologyTable, _fraction
+from .tables import BettiTable, CohomologyTable, _fraction, _table
 
 BETTI_HEADER = "betti-table v1"
 COH_HEADER = "coh-table v1"
@@ -91,15 +91,6 @@ def parse_table(text):
     one pass, and none is reduced again.
     """
     return _table(*_read(text))
-
-
-def _table(cls, fields, pairs):
-    # The table that the reader's (cls, fields, pairs) stand for.
-    entries = {key: _fraction(*pair) for key, pair in pairs.items()}
-    if cls is BettiTable:
-        return BettiTable._trusted(*fields, entries)
-    n, window, chi = fields
-    return CohomologyTable._trusted(n, window, entries, chi)
 
 
 def _read(text):

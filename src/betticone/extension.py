@@ -95,17 +95,17 @@ def _box(A, B, mode, budget, serre_shift):
     """The candidate box: the sorted bound support, each key's cap, each
     key's group (the keys of a group take one value) and each group's cap.
     Its checks come before the caller's.  A and B must each pass
-    ``_own_violations`` (InvalidTable, in ``validate``'s words): the bounds
-    read both tables through ``cells``, which drop a misplaced entry, and in
-    A + B one's Euler mismatch can cancel the other's.  Their tails are not
-    checked here."""
+    ``_own_violations`` on their ``Numerators`` (InvalidTable, in
+    ``validate``'s words): the bounds read both tables through ``cells``,
+    which drop a misplaced entry, and in A + B one's Euler mismatch can
+    cancel the other's.  Their tails are not checked here."""
     if mode not in ("full", "serre-symmetric"):
         raise ValueError(f"unknown mode {mode!r}")
     if serre_shift and mode == "full":
         raise ValueError(f"serre_shift {serre_shift} needs mode 'serre-symmetric'")
     bounds = cancellation_bounds(A, B)
     violations = [f"{name}: {text}" for name, t in (("A", A), ("B", B))
-                  for text in _own_violations(t)]
+                  for text in _own_violations(Numerators(t))]
     if violations:
         raise InvalidTable(violations)
     support = sorted(bounds)
@@ -134,7 +134,7 @@ def _pattern(support, vector):
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """(support, caps, split, rows): the sorted bound support, each key's
-    rank cap, the split table's ``Rows``, and a lazy stream of rows
+    rank cap, the split table's ``Numerators``, and a lazy stream of rows
     (vector, in_cone), one for every candidate rank vector over the
     support, in enumeration order.
 
@@ -143,19 +143,18 @@ def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
     tails alone, so every cancelled table is valid too, and drawing the
-    rows raises nothing.  The split table's ``Numerators`` are read twice:
-    into their own ``Rows`` and, by ``_valid``, into the widened ``Rows``
-    that decide every candidate.  On P^1 the verdicts come from
+    rows raises nothing.  The one ``Rows`` built here is the widened split
+    table from ``_valid``, which decides every candidate: on P^1 through
     ``_p1_walk`` on the second differences, with no greedy; on P^2 and P^3
-    from ``_greedy``.  No table is built: a reader that wants one cancels
-    the vector on ``split``, as ``feasible_set`` does, so it keeps the
-    split table's window.
+    through ``_greedy``.  No table is built: a reader that wants one
+    cancels the vector on ``Rows(split)``, as ``feasible_set`` does, so it
+    keeps the split table's window.
     """
     support, caps, groups, group_caps = _box(A, B, mode, budget, serre_shift)
     split = Numerators(add_tables(A, B))
     wide = _valid(split)
     decide = _p1_walk if wide.n == 1 else _greedy
-    return support, caps, Rows(split), decide(wide, support, _vectors(groups, group_caps))
+    return support, caps, split, decide(wide, support, _vectors(groups, group_caps))
 
 
 def _greedy(wide, support, vectors):
@@ -197,8 +196,9 @@ def _p1_walk(wide, support, vectors):
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """The (pattern, table) pairs of the candidates inside the cone, in
     enumeration order; each table is its vector cancelled on the split
-    table."""
+    table's ``Rows``, built once from ``decide_patterns``' ``Numerators``."""
     support, _, split, rows = decide_patterns(A, B, mode, budget, serre_shift)
+    split = Rows(split)
     return [(_pattern(support, vector), _cancel(split, zip(support, vector)).table())
             for vector, in_cone in rows if in_cone]
 

@@ -27,16 +27,20 @@ both forms as ``Fraction``.  The table forms share reads and printing
 (``_TwistReads``).  Each entry point builds the ``Numerators`` once:
 ``validate``, ``decompose_cohomology``, ``is_member`` and ``p1_oracle``
 from the table they are given (or take this form as it is),
-``peel_supernatural`` from its table, ``decide_patterns`` from the split
+``peel_supernatural`` from its table, ``decide_patterns`` from A and B
+(for ``_own_violations``, in ``extension._box``) and from the split
 table, and the CLI's ``member``, ``validate`` and ``coh-decompose``
 straight from the exchange reader's int pairs, without a
-``CohomologyTable``.  The Betti greedy keeps a reduced int (numerator,
-denominator) pair per cell instead (see ``betti_decomposition``): a common
-denominator would rescale the whole table whenever a step's coefficient
-brings a new one, while a pair per cell keeps each peel O(strand).
+``CohomologyTable``; so every invariant check reads ints.  The Betti
+greedy keeps a reduced int (numerator, denominator) pair per cell instead
+(see ``betti_decomposition``): a common denominator would rescale the
+whole table whenever a step's coefficient brings a new one, while a pair
+per cell keeps each peel O(strand).
 ``decompose``, ``peel`` and ``is_member`` take the pairs off a
 ``BettiTable``, and the CLI's ``member`` reads them from the file.  Reduced
-pairs become ``Fraction``s through ``_fraction``, with no second gcd.
+pairs become ``Fraction``s through ``_fraction``, with no second gcd, and
+a whole table of them (the exchange reader's or the Betti greedy's)
+becomes a table through ``_table``.
 
 ``Record`` is the base of the package's small immutable value types
 (both tables, degree and root sequences, pure diagrams, decompositions).
@@ -163,8 +167,7 @@ class BettiTable(Record):
 
 class _TwistReads:
     """Reads of a cohomology table at every twist, exact in the subclass's
-    numbers (``CohomologyTable``'s Fractions, ``Numerators``' ints), each
-    turned into the Fraction it stands for by ``fraction``.
+    numbers (``CohomologyTable``'s Fractions, ``Numerators``' ints).
 
     Outside the ``window`` row 0 carries chi(j) to the right, row n carries
     (-1)^n chi(j) to the left, and all other rows vanish; ``value`` and
@@ -212,9 +215,6 @@ class _TwistReads:
 
     def is_zero(self):
         return not self.entries and not any(self.chi)
-
-    def fraction(self, v):  # already the value here; Numerators overrides it
-        return v
 
 
 class CohomologyTable(Record, _TwistReads):
@@ -287,6 +287,16 @@ def _fraction(num, den=1):
     f = object.__new__(Fraction)
     f._numerator, f._denominator = num, den
     return f
+
+
+def _table(cls, fields, pairs):
+    # The table that the exchange reader's (cls, fields, pairs) stand for:
+    # its class, its fields besides the entries, its reduced int pairs.
+    entries = {key: _fraction(*pair) for key, pair in pairs.items()}
+    if cls is BettiTable:
+        return BettiTable._trusted(*fields, entries)
+    n, window, chi = fields
+    return CohomologyTable._trusted(n, window, entries, chi)
 
 
 def _reduced(num, den):
@@ -390,10 +400,11 @@ def validate(t):
 
 
 def _own_violations(t):
-    """``validate``'s checks of a cohomology table (or its ``Numerators``)
-    on its own window, in its words: each stored entry positive, inside rows
-    0..n and the window, and on no interior row at a window edge; then the
-    Euler identity at every twist of the window.  The tails are not read."""
+    """``validate``'s checks of a cohomology table's ``Numerators`` t on its
+    own window, in its words (values as ``fraction`` gives them): each
+    stored entry positive, inside rows 0..n and the window, and on no
+    interior row at a window edge; then the Euler identity at every twist of
+    the window.  The tails are not read."""
     violations, alt = [], {}
     n, (lo, hi) = t.n, t.window
     for (i, j), v in sorted(t.entries.items()):

@@ -432,27 +432,38 @@ def test_enumerate_refuses_an_unknown_mode():
 
 
 def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
-    # The split table is converted to Numerators once and validated in that
-    # form; the greedy's root sequences are strictly decreasing by
-    # construction, so none goes through the checking constructor.
-    a, b = (parse_table((FIXTURES / name).read_text())
-            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
-    calls = {"Numerators": 0, "RootSequence": 0}
-    init = tables.Numerators.__init__
+    # A, B and the split table are each converted to Numerators once, A and
+    # B for their own checks and the split table for its validation; the one
+    # Rows built is the widened split table that decides every candidate.
+    # The greedy's root sequences are strictly decreasing by construction,
+    # so none goes through the checking constructor.
+    calls = {"Numerators": 0, "RootSequence": 0, "Rows": 0}
+    numerators_init = tables.Numerators.__init__
+    rows_init = tables.Rows.__init__
     post_init = RootSequence.__post_init__
 
-    def counted_init(self, t):
+    def counted_numerators_init(self, t):
         calls["Numerators"] += 1
-        init(self, t)
+        numerators_init(self, t)
+
+    def counted_rows_init(self, *args):
+        calls["Rows"] += 1
+        rows_init(self, *args)
 
     def counted_post_init(self):
         calls["RootSequence"] += 1
         post_init(self)
-    monkeypatch.setattr(tables.Numerators, "__init__", counted_init)
+    monkeypatch.setattr(tables.Numerators, "__init__", counted_numerators_init)
+    monkeypatch.setattr(tables.Rows, "__init__", counted_rows_init)
     monkeypatch.setattr(RootSequence, "__post_init__", counted_post_init)
-    _, _, _, rows = decide_patterns(a, b)
-    assert sum(in_cone for _, in_cone in rows) == 55
-    assert calls == {"Numerators": 1, "RootSequence": 0}
+    p1 = tuple(parse_table((FIXTURES / name).read_text())
+               for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    for (a, b), feasible in ((p1, 55), (p2_pair(), 3)):
+        for name in calls:
+            calls[name] = 0
+        _, _, _, rows = decide_patterns(a, b)
+        assert sum(in_cone for _, in_cone in rows) == feasible
+        assert calls == {"Numerators": 3, "RootSequence": 0, "Rows": 1}
 
 
 def test_the_narrow_pair_is_decided_past_its_window():
@@ -530,17 +541,24 @@ def test_the_p1_walk_runs_no_greedy(monkeypatch):
 
 def test_a_feasible_table_is_the_one_apply_cancellation_gives():
     # The greedy decides on the widened split table, but each feasible table
-    # keeps the split table's window (-6, 4) and stores no tail cell, so it
-    # prints as apply_cancellation's table prints.
-    a, b = (parse_table((FIXTURES / name).read_text())
-            for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
-    feasible = feasible_set(a, b)
-    assert len(feasible) == 55
-    for pattern, table in feasible:
-        applied = apply_cancellation(a, b, pattern)
-        assert serialize_table(table) == serialize_table(applied)
-        assert pretty_cohomology(table) == pretty_cohomology(applied)
-        assert table.window == applied.window == (-6, 4)
+    # keeps the split table's window and stores no tail cell, so it prints
+    # as apply_cancellation's table prints.  Where A's and B's windows
+    # differ, that window is their union.
+    fixture = tuple(parse_table((FIXTURES / name).read_text())
+                    for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
+    shifted = (scale(line_bundle_table(1, -2, (-6, 4)), 5),
+               scale(line_bundle_table(1, 2, (-4, 6)), 5))
+    sheaves = (supernatural_table(RootSequence(2, (1, -2)), F(3, 2), (-6, 4)),
+               supernatural_table(RootSequence(2, (0, -4)), 2, (-5, 6)))
+    for (a, b), count, window in ((fixture, 55, (-6, 4)), (shifted, 55, (-6, 6)),
+                                  (sheaves, 4, (-6, 6))):
+        feasible = feasible_set(a, b)
+        assert len(feasible) == count
+        for pattern, table in feasible:
+            applied = apply_cancellation(a, b, pattern)
+            assert serialize_table(table) == serialize_table(applied)
+            assert pretty_cohomology(table) == pretty_cohomology(applied)
+            assert table.window == applied.window == window
 
 
 def test_the_budget_is_checked_before_the_split_table():
@@ -598,6 +616,7 @@ def test_decided_patterns_match_the_p1_oracle(seed):
             assert table is None, pattern
         else:
             assert table == cancelled, pattern
+            assert serialize_table(table) == serialize_table(cancelled), pattern
 
 
 def test_most_random_p1_extensions_are_decided():
@@ -715,6 +734,7 @@ def _p2_rows_or_none(a, b, mode, shift):
             assert table is None, pattern
         else:
             assert table == cancelled, pattern
+            assert serialize_table(table) == serialize_table(cancelled), pattern
     return rows
 
 
