@@ -116,27 +116,24 @@ def _cmd_coh_decompose(args):
     cls, fields, pairs = _read(_text(args.table))
     if cls is not CohomologyTable:
         raise ParseError(0, "coh-decompose expects a cohomology table file")
-    work = Numerators((*fields, pairs))
-    wide = _valid(work)
-    if args.check_oracle and wide.n == 1:
-        # The oracle reads the widened rows, and the greedy then empties them.
+    wide = _valid(Numerators((*fields, pairs)))
+    checked = args.check_oracle and wide.n == 1
+    if checked:  # the oracle reads the widened rows before the greedy empties them
         try:
             expected = tuple(_p1_oracle(wide).terms)
         except NotInCone:
             expected = None
-        try:
-            result = decompose_valid(wide)
-        except NotInCone:
-            if expected is not None:
-                raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
-            raise
-        if expected != tuple(result.terms):
-            raise OracleMismatch("oracle and greedy decomposition disagree")
-    else:
+    try:
         result = decompose_valid(wide)
+    except NotInCone:
+        if checked and expected is not None:
+            raise OracleMismatch("the oracle decomposes a table the greedy rejects") from None
+        raise
+    if checked and expected != tuple(result.terms):
+        raise OracleMismatch("oracle and greedy decomposition disagree")
     for coeff, roots in result:
         if args.integral:
-            s = _integral_multiple(roots, work.window)
+            s = _integral_multiple(roots)
             print(f"term {coeff / s} roots={roots} multiple={s}")
         else:
             print(f"term {coeff} roots={roots}")

@@ -97,21 +97,19 @@ def _cells(f, lo, hi):
         yield row, first - lo, list(map(prod, zip(*columns)))
 
 
-def _integral_multiple(roots, window):
+def _integral_multiple(roots):
     """The smallest positive s making s times the unit supernatural table of
-    the roots integral on the window together with its staircase
-    [f_n - 1, f_1 + 1].
+    the roots integral at every twist, so on every window that holds the
+    staircase [f_n - 1, f_1 + 1]: that range already has n + 2 consecutive twists.
 
-    The entries are the int cells P over n!, so s = n! / gcd(P); the gcd
-    stops at the first row segment that brings it to 1, and no table is built.
+    The entries are the int cells |P(j)| over n!, P(j) = prod_k (j - f_k), so
+    s = n! / gcd(P).  By Newton's forward differences every P(j) is an
+    integer combination of P at any n + 1 consecutive twists, so the gcd is
+    read at f_1 + 1, ..., f_1 + n + 1, where only row 0 has cells.
     """
     f = roots.roots
-    g = 0
-    for _, _, xs in _cells(f, min(window[0], f[-1] - 1), max(window[1], f[0] + 1)):
-        g = gcd(g, *xs)
-        if g == 1:
-            break
-    return Fraction(factorial(roots.n), g)
+    _, _, xs = next(_cells(f, f[0] + 1, f[0] + roots.n + 1))  # row 0 comes first
+    return Fraction(factorial(roots.n), gcd(*xs))
 
 
 def line_bundle_table(n, a, window):

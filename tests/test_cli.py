@@ -456,7 +456,7 @@ def test_outer_row_past_the_window_is_decided(capsys):
 
 def test_an_integral_multiple_reads_the_staircase_past_the_window(tmp_path, capsys):
     # sigma_0 seen on the window [0, 0] alone, where it has no cell: its
-    # multiple is read over the window and the staircase [-1, 1] together
+    # multiple is read off its roots, at the twists 1 and 2 past the window
     path = tmp_path / "sigma0.ct"
     path.write_text("coh-table v1\nn 1\nwindow 0 0\nchi 0 1\n")
     assert run_cli(capsys, "coh-decompose", str(path)) == (0, "term 1 roots=0\n", "")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -783,7 +783,7 @@ def test_wide_p1_greedy_builds_no_fraction_table(monkeypatch):
 
 def test_integral_multiples_build_no_supernatural_table(monkeypatch, tmp_path, capsys):
     # coh-decompose --integral reads each term's multiple off sigma's int
-    # cells instead of building sigma over the whole window
+    # cells at n + 1 twists past its first root, and builds no sigma
     path = tmp_path / "wide.ct"
     path.write_text(serialize_table(every_second_twist_table(801)))
     calls = []
@@ -797,6 +797,26 @@ def test_integral_multiples_build_no_supernatural_table(monkeypatch, tmp_path, c
     assert capsys.readouterr().out.splitlines() == [
         f"term 1 roots={f} multiple=1" for f in range(1, 800, 2)]
     assert calls == []
+
+
+def test_integral_multiples_cost_n_plus_one_root_products_a_term(monkeypatch, tmp_path,
+                                                                  capsys):
+    # 400 terms on P^1: --integral adds 2 root products each, whatever the window
+    path = tmp_path / "wide.ct"
+    path.write_text(serialize_table(every_second_twist_table(801)))
+    calls = []
+
+    def counted(factors):
+        calls.append(1)
+        return prod(factors)
+    monkeypatch.setattr(supernatural, "prod", counted)
+    counts = []
+    for flags in ([], ["--integral"]):
+        calls.clear()
+        assert cli.main(["coh-decompose", str(path), *flags]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 400
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 800
 
 
 def random_p1_form(rng):

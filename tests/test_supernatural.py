@@ -172,9 +172,23 @@ def test_line_bundle_table_evaluates_only_its_window(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 48))
 def test_integral_multiple_is_the_unit_tables_integral_scale(seed):
+    # the multiple takes the roots alone: any window holding the staircase agrees
     rng = random.Random(seed)
-    n = rng.randint(1, 4)
+    n = rng.randint(1, 5)
     roots = RootSequence(n, tuple(sorted(rng.sample(range(-12, 13), n), reverse=True)))
-    window = (roots.roots[-1] - 1 - rng.randint(0, 6), roots.roots[0] + 1 + rng.randint(0, 6))
-    assert supernatural._integral_multiple(roots, window) == \
-        integral_scale(supernatural_table(roots, 1, window).entries.values())
+    s = supernatural._integral_multiple(roots)
+    for _ in range(2):
+        window = (roots.roots[-1] - 1 - rng.randint(0, 6), roots.roots[0] + 1 + rng.randint(0, 6))
+        assert s == integral_scale(supernatural_table(roots, 1, window).entries.values())
+
+
+def test_integral_multiple_computes_n_plus_one_root_products(monkeypatch):
+    calls = []
+
+    def counted(factors):
+        calls.append(1)
+        return prod(factors)
+    monkeypatch.setattr(supernatural, "prod", counted)
+    # P = j (j + 3) (j + 7) at j = 1..4 is 32, 90, 180, 308: gcd 2, so 3! / 2
+    assert supernatural._integral_multiple(RootSequence(3, (0, -3, -7))) == 3
+    assert len(calls) == 4
