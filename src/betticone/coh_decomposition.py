@@ -17,7 +17,7 @@ from operator import add
 from .errors import InvalidTable, NotInCone
 from .supernatural import (CohDecomposition, RootSequence, _cells, _check_window, _corner,
                            chi_from_roots)
-from .tables import Numerators, Rows, validate
+from .tables import Numerators, Rows, _differences, validate
 
 
 def peel_supernatural(g, roots):
@@ -184,4 +184,4 @@ def _second_differences(w):
     """
     lo, hi = w.window  # two twists past each edge of the table's window
     T = list(map(add, w.cells[:w.width], w.cells[w.width:]))
-    return {f: T[k + 1] - 2 * T[k] + T[k - 1] for k, f in enumerate(range(lo + 1, hi), 1)}
+    return dict(zip(range(lo + 1, hi), _differences(_differences(T))))

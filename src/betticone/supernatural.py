@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 from .errors import NotStaircase, WindowTooSmall
-from .tables import CohomologyTable, Record, first_twists
+from .tables import CohomologyTable, Record, _run, first_twists
 
 
 class RootSequence(Record):
@@ -86,15 +86,15 @@ def _scaled(n, f, unit, window):
 
 
 def _cells(f, lo, hi):
-    # sigma's cells |prod_k (j - f_k)| on [lo, hi], one prod each, per row i (twists between
-    # f_{i+1} and f_i, below f_1..f_i): (i, first twist's index from lo, values, maybe none).
+    # sigma's cells |prod_k (j - f_k)| on [lo, hi] per row i (twists between f_{i+1} and f_i,
+    # where prod has sign (-1)^i): (i, first twist's index from lo, values, maybe none), each
+    # row segment one run (n + 1 prods, then _run).
     n = len(f)
     for row in range(n + 1):
         first = lo if row == n else max(lo, f[row] + 1)
         last = hi if row == 0 else min(hi, f[row - 1] - 1)
-        columns = [range(first - fk, last + 1 - fk) if k >= row else
-                   range(fk - first, fk - last - 1, -1) for k, fk in enumerate(f)]
-        yield row, first - lo, list(map(prod, zip(*columns)))
+        yield row, first - lo, list(_run(lambda j: (-1) ** row * prod(j - fk for fk in f),
+                                         first, last, n))
 
 
 def _integral_multiple(roots):
@@ -103,9 +103,9 @@ def _integral_multiple(roots):
     staircase [f_n - 1, f_1 + 1]: that range already has n + 2 consecutive twists.
 
     The entries are the int cells |P(j)| over n!, P(j) = prod_k (j - f_k), so
-    s = n! / gcd(P).  By Newton's forward differences every P(j) is an
-    integer combination of P at any n + 1 consecutive twists, so the gcd is
-    read at f_1 + 1, ..., f_1 + n + 1, where only row 0 has cells.
+    s = n! / gcd(P).  P at any n + 1 consecutive twists gives P at every
+    twist by int sums and differences (as ``tables._run`` extends a run), so
+    the gcd is read at f_1 + 1, ..., f_1 + n + 1, where only row 0 has cells.
     """
     f = roots.roots
     _, _, xs = next(_cells(f, f[0] + 1, f[0] + roots.n + 1))  # row 0 comes first

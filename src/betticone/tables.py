@@ -7,9 +7,9 @@ parser keep the entries they are given, zeros included, and ``validate``
 (as ``ext-polytope`` on A and B) reports a stored zero as not positive.
 
 Table arithmetic is one primitive, ``combine`` (a + coeff * b over
-``CohomologyTable.cells``), costing the two supports plus one chi evaluation
-per twist where the windows differ, never the (n + 1) x window grid.  Two
-cohomology tables are read over their union window by ``_union_cells``
+``CohomologyTable.cells``), costing the two supports plus a run of chi per
+tail where the windows differ (``_run``: n + 1 values, then sums of their
+differences), never the (n + 1) x window grid.  Two cohomology tables are read over their union window by ``_union_cells``
 alone, and denominators are cleared by ``_cleared`` alone, on reduced int
 (numerator, denominator) pairs.  ``first_twists`` reads the smallest
 stored twist (degree) of every row (column).  The greedies subtract the
@@ -48,8 +48,9 @@ becomes a table through ``_table``.
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .errors import DimensionMismatch, NegativeEntry
 
@@ -165,6 +166,24 @@ class BettiTable(Record):
         return f"BettiTable(vars={self.vars}, {{{cells}}})"
 
 
+def _differences(xs):
+    """The forward differences xs[k + 1] - xs[k] of a list."""
+    return list(map(sub, xs[1:], xs))
+
+
+def _run(at, lo, hi, n):
+    """at(j) for j = lo..hi, lazily, for a polynomial ``at`` of degree <= n: ``at``
+    is called at the first n + 1 twists only, and the rest is summed from their
+    difference table, whose n-th row is constant (Knuth, TAOCP 2, 4.6.4)."""
+    rows = [[at(j) for j in range(lo, min(hi, lo + n) + 1)]]
+    while rows[-1]:
+        rows.append(_differences(rows[-1]))
+    run = repeat(0)
+    for xs in reversed(rows[:-1]):
+        run = accumulate(run, initial=xs[0])
+    return islice(run, max(hi - lo + 1, 0))
+
+
 class _TwistReads:
     """Reads of a cohomology table at every twist, exact in the subclass's
     numbers (``CohomologyTable``'s Fractions, ``Numerators``' ints).
@@ -197,20 +216,15 @@ class _TwistReads:
 
     def cells(self, lo, hi):
         """Nonzero ``value``s on rows 0..n over [lo, hi], which contains our
-        window; costs the support plus one chi evaluation per added twist."""
+        window; costs the support plus one run of chi (``_run``) per tail."""
         n = self.n
         w_lo, w_hi = self.window
         out = {(i, j): v for (i, j), v in self.entries.items()
                if v and 0 <= i <= n and w_lo <= j <= w_hi}
         if any(self.chi):
-            for j in range(w_hi + 1, hi + 1):
-                v = self.chi_at(j)
-                if v:
-                    out[(0, j)] = v
-            for j in range(lo, w_lo):
-                v = self.chi_at(j)
-                if v:
-                    out[(n, j)] = v if n % 2 == 0 else -v
+            for row, sign, first, last in ((0, 1, w_hi + 1, hi), (n, (-1) ** n, lo, w_lo - 1)):
+                out.update(((row, j), sign * v)
+                           for j, v in enumerate(_run(self.chi_at, first, last, n), first) if v)
         return out
 
     def is_zero(self):
@@ -419,9 +433,9 @@ def _own_violations(t):
                 violations.append(f"interior row {i} touches the window edge at j = {j}")
             alt[j] = alt.get(j, 0) + (v if i % 2 == 0 else -v)
     # A zero chi can only mismatch where the alternating sum is supported.
-    for j in range(lo, hi + 1) if any(t.chi) else sorted(alt):
-        total, chi = alt.get(j, 0), t.chi_at(j)
-        if total != chi:
+    chis = enumerate(_run(t.chi_at, lo, hi, n), lo) if any(t.chi) else zip(sorted(alt), repeat(0))
+    for j, chi in chis:
+        if (total := alt.get(j, 0)) != chi:
             violations.append(f"Euler mismatch at j = {j}: alternating sum "
                               f"{t.fraction(total)} != chi {t.fraction(chi)}")
     return violations

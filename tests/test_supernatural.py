@@ -158,15 +158,38 @@ def test_far_line_bundle_windows_match_binomials(n, a, side, width):
 
 
 def test_line_bundle_table_evaluates_only_its_window(monkeypatch):
-    calls = []
+    # O(0) on P^2 has roots -1, -2, and the window holds one row-0 segment: its
+    # n + 1 = 3 root products, each at a twist of the window, and sums after them
+    twists = []
 
     def counted(factors):
-        calls.append(1)
+        factors = list(factors)
+        twists.append(factors[0] - 1)  # the first factor is j - f_1 = j + 1
         return prod(factors)
     monkeypatch.setattr(supernatural, "prod", counted)
     t = line_bundle_table(2, 0, (2000, 2010))
-    assert len(calls) == 11
+    assert len(twists) == 3 and all(2000 <= j <= 2010 for j in twists)
     assert t.entries == reference_line_bundle_table(2, 0, (2000, 2010)).entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(1, 3), min_size=n - 1,
+                                                    max_size=n - 1)),
+       st.integers(-30, 30), st.sampled_from([0, -10 ** 5, 10 ** 5]), st.integers(-8, 8),
+       st.one_of(st.integers(0, 1), st.integers(0, 40)))
+def test_sigma_cells_are_the_root_products_on_any_window(gaps, top, far, offset, width):
+    # Roots 1 apart leave an interior row empty; the window is 0-40 twists wide,
+    # starting near f_n (so clipped inside the staircase) or 10^5 twists off.
+    f = [top]
+    for gap in gaps:
+        f.append(f[-1] - gap)
+    lo = f[-1] + far + offset
+    hi = lo + width - 1
+    rows = list(supernatural._cells(tuple(f), lo, hi))
+    assert [row for row, _, _ in rows] == list(range(len(f) + 1))
+    cells = {(row, lo + k + m): x for row, k, xs in rows for m, x in enumerate(xs)}
+    assert cells == {(sum(fk > j for fk in f), j): abs(prod(j - fk for fk in f))
+                     for j in range(lo, hi + 1) if j not in f}
 
 
 @settings(max_examples=300, deadline=None)

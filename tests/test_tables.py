@@ -278,3 +278,30 @@ def test_a_fraction_set_through_its_slots_is_the_fraction(num, den):
     assert (f + 1, f - ref, f * f, f / 3, -f, abs(f), f ** 2) == \
         (ref + 1, 0, ref * ref, ref / 3, -ref, abs(ref), ref ** 2)
     assert pickle.loads(pickle.dumps(f)) == ref and copy.copy(f) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=n + 1))),
+       st.integers(-10 ** 6, 10 ** 6), st.one_of(st.integers(-2, 8), st.integers(0, 2000)))
+def test_a_polynomial_run_is_its_direct_evaluation(case, lo, length):
+    # An int polynomial of degree <= n on a run of `length` twists from lo
+    # (empty, shorter than n + 1, or long), evaluated at only its first n + 1.
+    n, coeffs = case
+    called = []
+
+    def direct(j):
+        return sum(c * j ** k for k, c in enumerate(coeffs))
+
+    def at(j):
+        called.append(j)
+        return direct(j)
+    hi = lo + length - 1
+    assert list(tables._run(at, lo, hi, n)) == [direct(j) for j in range(lo, hi + 1)]
+    assert called == list(range(lo, lo + min(n + 1, max(length, 0))))
+
+
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=40))
+def test_second_differences_are_the_three_point_stencil(T):
+    assert tables._differences(tables._differences(T)) == [
+        T[k + 1] - 2 * T[k] + T[k - 1] for k in range(1, len(T) - 1)]
