@@ -11,6 +11,7 @@ extension's) into a yes or no.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import factorial, gcd
 from operator import add
 
@@ -31,19 +32,20 @@ def peel_supernatural(g, roots):
     _check_window(roots.roots, *g.window)
     work = _valid(g)
     q = _peel(work, roots)
-    rest = work.table(g.window)
+    rest = work.table()
     problems = validate(rest)
     if problems:
         raise NotInCone(0, f"the remainder is not a valid table: {'; '.join(problems)}")
     return Fraction(*q), rest
 
 
-def _peel(work, roots, sigmas=None):
+def _peel(work, roots, sigmas=None, step=0):
     """Subtract the largest multiple q of the unit supernatural table
     sigma_roots from valid ``Rows`` in place, and return q as ints (n, d).
 
     ``sigmas``, when given, maps a root tuple to sigma's row segments and chi
     coefficients; a missing one is built and kept.  Share it only on one window.
+    A refusal (NotInCone) carries ``step``.
 
     sigma's cells are the ints P = |prod (j - f_k)| over n!, so the ratio at
     a cell with numerator N is N n! / (den P); the minimum c / p is found by
@@ -67,7 +69,7 @@ def _peel(work, roots, sigmas=None):
             if cells[k] * p < c * x:
                 binding, c, p = (k // w, lo + k % w), cells[k], x
         if not c:  # a valid table has no negative cell
-            raise NotInCone(0, f"table vanishes at {binding} inside the staircase of {roots}")
+            raise NotInCone(step, f"table vanishes at {binding} inside the staircase of {roots}")
     q = c * factorial(roots.n), work.den * p
     c, p = c // (g := gcd(c, p)), p // g
     if p > 1:  # a new denominator: every cell is rescaled to it first
@@ -94,14 +96,13 @@ def decompose_cohomology(g):
 
 
 def _valid(g):
-    # The Rows of g's cells n + 1 twists past each window edge, once g (a
-    # table or its Numerators, which are left as they are) is found valid.
+    # The widened Rows of g (a table or its Numerators, which are left as
+    # they are), once g is found valid.
     work = g if isinstance(g, Numerators) else Numerators(g)
     problems = validate(work)
     if problems:
         raise InvalidTable(problems)
-    lo, hi = work.window
-    return Rows(work, (lo - work.n - 1, hi + work.n + 1))
+    return Rows(work)
 
 
 def decompose_valid(wide):
@@ -124,25 +125,23 @@ def _empties(steps):
 
 def _decompose(work, sigmas=None):
     # decompose_valid's greedy on a widened table's Rows, which it empties: one (q as
-    # an int pair, roots) per peel; sigmas as in _peel.  Rows' firsts only move right, as
-    # no peel adds a cell.  A refusal's step counts the peels done before it.
+    # an int pair, roots) per peel; sigmas as in _peel.  firsts holds a lower bound of
+    # each row's first nonzero index, moved right as the greedy reads, since no peel
+    # adds a cell.  A refusal's step counts the peels done before it.
     # No guard needed: cells stay >= 0 and tail cells follow chi, so emptied means g = sum q sigma.
-    cells, lo, width, step, firsts = work.cells, work.window[0], work.width, 0, work.firsts
-    try:
-        while True:
-            for i, k in enumerate(firsts):
-                start = i * width
-                while k < width and not cells[start + k]:
-                    k += 1
-                firsts[i] = k
-            minima = {i: lo + k for i, k in enumerate(firsts) if k < width}
-            if not minima and not any(work.chi):
-                return
-            roots = _corner(work.n, minima, work.chi)
-            yield _peel(work, roots, sigmas), roots
-            step += 1
-    except NotInCone as exc:
-        raise type(exc)(step, exc.detail) from None
+    cells, lo, width = work.cells, work.window[0], work.width
+    firsts = [0] * (work.n + 1)
+    for step in count():
+        for i, k in enumerate(firsts):
+            start = i * width
+            while k < width and not cells[start + k]:
+                k += 1
+            firsts[i] = k
+        minima = {i: lo + k for i, k in enumerate(firsts) if k < width}
+        if not minima and not any(work.chi):
+            return
+        roots = _corner(work.n, minima, work.chi, step)
+        yield _peel(work, roots, sigmas, step), roots
 
 
 def p1_oracle(g):

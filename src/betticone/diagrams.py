@@ -121,14 +121,9 @@ def _integral(seq, w):
 def moment_sums(diagram):
     """The l moment sums sum_k (-1)^k beta_k d_k^m, m = 0..l-1 (all zero iff pure)."""
     d = diagram.sequence.degrees
-    sums = []
-    for m in range(len(d) - 1):
-        total = Fraction(0)
-        for k, (deg, v) in enumerate(zip(d, diagram.values)):
-            term = v * deg ** m
-            total += term if k % 2 == 0 else -term
-        sums.append(total)
-    return sums
+    ints, den = _cleared([v.as_integer_ratio() for v in diagram.values])
+    signed = [(deg, x if k % 2 == 0 else -x) for k, (deg, x) in enumerate(zip(d, ints))]
+    return [_reduced(sum(x * deg ** m for deg, x in signed), den) for m in range(len(d) - 1)]
 
 
 def integral_scale(values):

@@ -134,27 +134,26 @@ def _pattern(support, vector):
 
 def decide_patterns(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """(support, caps, split, rows): the sorted bound support, each key's
-    rank cap, the split table's ``Numerators``, and a lazy stream of rows
-    (vector, in_cone), one for every candidate rank vector over the
-    support, in enumeration order.
+    rank cap, the split table's widened ``Rows`` (``_valid``), and a lazy
+    stream of rows (vector, in_cone), one for every candidate rank vector
+    over the support, in enumeration order.
 
     Every check runs here, before any row is drawn: the box's (``_box``),
     then the split table's validation.  No candidate needs its own: a
     cancellation within the rank bounds is chi-neutral, keeps every entry
     nonnegative, adds no cell and leaves the window, the edge cells and the
     tails alone, so every cancelled table is valid too, and drawing the
-    rows raises nothing.  The one ``Rows`` built here is the widened split
-    table from ``_valid``, which decides every candidate: on P^1 through
-    ``_p1_walk`` on the second differences, with no greedy; on P^2 and P^3
-    through ``_greedy``.  No table is built: a reader that wants one
-    cancels the vector on ``Rows(split)``, as ``feasible_set`` does, so it
-    keeps the split table's window.
+    rows raises nothing.  The one ``Rows`` built here is that widened split
+    table, which decides every candidate and is left as it is: on P^1
+    through ``_p1_walk`` on the second differences, with no greedy; on P^2
+    and P^3 through ``_greedy``, on copies.  No table is built: a reader
+    that wants one cancels the vector on a copy of ``split`` and cuts it
+    back to the split table's window with ``table``, as ``feasible_set`` does.
     """
     support, caps, groups, group_caps = _box(A, B, mode, budget, serre_shift)
-    split = Numerators(add_tables(A, B))
-    wide = _valid(split)
-    decide = _p1_walk if wide.n == 1 else _greedy
-    return support, caps, split, decide(wide, support, _vectors(groups, group_caps))
+    split = _valid(Numerators(add_tables(A, B)))
+    decide = _p1_walk if split.n == 1 else _greedy
+    return support, caps, split, decide(split, support, _vectors(groups, group_caps))
 
 
 def _greedy(wide, support, vectors):
@@ -195,10 +194,9 @@ def _p1_walk(wide, support, vectors):
 
 def feasible_set(A, B, mode="full", budget=10 ** 6, serre_shift=0):
     """The (pattern, table) pairs of the candidates inside the cone, in
-    enumeration order; each table is its vector cancelled on the split
-    table's ``Rows``, built once from ``decide_patterns``' ``Numerators``."""
+    enumeration order; each table is its vector cancelled on a copy of
+    ``decide_patterns``' widened split ``Rows``, on the split table's window."""
     support, _, split, rows = decide_patterns(A, B, mode, budget, serre_shift)
-    split = Rows(split)
     return [(_pattern(support, vector), _cancel(split, zip(support, vector)).table())
             for vector, in_cone in rows if in_cone]
 

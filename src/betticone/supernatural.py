@@ -140,14 +140,15 @@ def corner_roots(g):
     return _corner(g.n, first_twists(g), g.chi)
 
 
-def _corner(n, minima, chi):
-    # corner_roots from chi and each nonempty row's smallest twist (minima).
+def _corner(n, minima, chi, step=0):
+    # corner_roots from chi and each nonempty row's smallest twist (minima); a
+    # refusal (NotStaircase) carries step.
     for row in (0, n):
         if row not in minima and any(chi):
             raise WindowTooSmall(f"row {row} has no support on the window "
                                  f"but continues past its edge")
         if row not in minima:
-            raise NotStaircase(0, f"row {row} has no support on the window")
+            raise NotStaircase(step, f"row {row} has no support on the window")
     roots = [minima[0] - 1]
     for row in range(1, n):
         roots.append(min(minima.get(row, roots[-1]), roots[-1]) - 1)

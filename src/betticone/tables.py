@@ -18,11 +18,12 @@ of building a table per step.
 
 ``validate`` reads ``Numerators``, the sparse working form of a cohomology
 table: int numerators over one common denominator.  Every verdict reads
-``Rows``, a dense form of the same ints, over the window widened by n + 1
-twists past each edge, that ``coh_decomposition._valid`` returns for a
-valid table: the cohomology greedy, ``peel_supernatural``, the P^1 oracle
+``Rows``, a dense form of the same ints, always over the window widened by
+n + 1 twists past each edge, that ``coh_decomposition._valid`` returns for
+a valid table: the cohomology greedy, ``peel_supernatural``, the P^1 oracle
 and the extension's candidates.  Peels and cancellations change a ``Rows``
-(or a copy of one), never the ``Numerators`` it was read from; values leave
+(or a copy of one), never the ``Numerators`` it was read from, and
+``Rows.table`` cuts it back to the window it was widened from; values leave
 both forms as ``Fraction``.  The table forms share reads and printing
 (``_TwistReads``).  Each entry point builds the ``Numerators`` once:
 ``validate``, ``decompose_cohomology``, ``is_member`` and ``p1_oracle``
@@ -475,38 +476,34 @@ class Numerators(_TwistReads):
 
 class Rows:
     """Dense working form of a ``Numerators``, not exported: its ``cells`` on
-    rows 0..n over ``window`` (its own, or a wider one with the tail cells)
-    back to back in one int list, row i from i * ``width``, zeros included,
-    with its chi and ``den``.  ``firsts`` starts as each row's first nonzero
-    index (``width`` when empty); peels and cancellations only lower cells
-    in place, so it stays a lower bound, which the greedy moves right."""
+    rows 0..n over its window widened by n + 1 twists past each edge (the
+    tail cells included), back to back in one int list, row i from
+    i * ``width``, zeros included, with its chi and ``den``.  Peels and
+    cancellations only lower cells in place."""
 
-    __slots__ = ("n", "window", "width", "den", "chi", "cells", "firsts")
+    __slots__ = ("n", "window", "width", "den", "chi", "cells")
 
-    def __init__(self, work, window=None):
-        n, (lo, hi) = work.n, window or work.window
+    def __init__(self, work):
+        n, (lo, hi) = work.n, work.window
+        lo, hi = lo - n - 1, hi + n + 1
         self.n, self.window, self.den, self.chi = n, (lo, hi), work.den, work.chi
         self.width = width = hi - lo + 1
         self.cells = cells = [0] * ((n + 1) * width)
-        self.firsts = firsts = [width] * (n + 1)
         for (i, j), v in work.cells(lo, hi).items():
-            k = j - lo
-            cells[i * width + k] = v
-            if k < firsts[i]:
-                firsts[i] = k
+            cells[i * width + j - lo] = v
 
     def copy(self):
         """An independent working copy."""
         new = Rows.__new__(Rows)
-        new.n, new.window, new.width, new.den, new.chi, new.cells, new.firsts = (
-            self.n, self.window, self.width, self.den, self.chi, self.cells[:], self.firsts[:])
+        new.n, new.window, new.width, new.den, new.chi, new.cells = (
+            self.n, self.window, self.width, self.den, self.chi, self.cells[:])
         return new
 
-    def table(self, window=None):
-        """The ``CohomologyTable`` it stands for, on a window inside its own."""
-        lo, hi = window or self.window
-        k, w = lo - self.window[0], self.width
-        return CohomologyTable._trusted(self.n, (lo, hi), {
-            (i, j): Fraction(v, self.den) for i in range(self.n + 1)
-            for j, v in enumerate(self.cells[i * w + k:i * w + k + hi - lo + 1], lo) if v},
+    def table(self):
+        """The ``CohomologyTable`` it stands for, on the window it was widened from."""
+        n, w = self.n, self.width
+        lo, hi = self.window[0] + n + 1, self.window[1] - n - 1
+        return CohomologyTable._trusted(n, (lo, hi), {
+            (i, j): Fraction(v, self.den) for i in range(n + 1)
+            for j, v in enumerate(self.cells[i * w + n + 1:(i + 1) * w - n - 1], lo) if v},
             tuple(Fraction(c, self.den) for c in self.chi))

@@ -334,10 +334,6 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
     t = table()
     expected = outcome(p1_oracle, t)
     work = tables.Numerators(t)
-    lo, hi = t.window
-    widened = tables.Rows(tables.Numerators(
-        CohomologyTable(1, (lo - 2, hi + 2), t.cells(lo - 2, hi + 2), t.chi)))
-    assert widened.den == work.den
     before = numerators_state(work)
     read = []
     reader = coh_decomposition._p1_oracle
@@ -368,7 +364,7 @@ def test_oracle_decides_a_working_form_on_ints(monkeypatch, table, accepted):
     monkeypatch.undo()
     assert ops == []
     assert got == expected and isinstance(got, list) == accepted
-    assert read == [rows_state(widened)]
+    assert read == [widened_state(t)]
     assert numerators_state(work) == before
 
 
@@ -379,8 +375,18 @@ def numerators_state(work):
 
 def rows_state(rows):
     # Everything a Rows holds, copied.
-    return (rows.n, rows.window, rows.width, rows.den, list(rows.chi), list(rows.cells),
-            list(rows.firsts))
+    return rows.n, rows.window, rows.width, rows.den, list(rows.chi), list(rows.cells)
+
+
+def widened_state(t):
+    # rows_state of the Rows of table t: t.value on rows 0..n over its window
+    # widened by n + 1 twists on each side, as numerators over the common
+    # denominator of t's Numerators.
+    n, (lo, hi) = t.n, t.window
+    work = tables.Numerators(t)
+    twists = range(lo - n - 1, hi + n + 2)
+    return (n, (twists[0], twists[-1]), len(twists), work.den, list(work.chi),
+            [t.value(i, j) * work.den for i in range(n + 1) for j in twists])
 
 
 @pytest.mark.parametrize("table", [
@@ -393,12 +399,11 @@ def test_the_working_form_is_widened_by_its_tail_cells(table):
     t = table()
     n, (lo, hi) = t.n, t.window
     W = lo - n - 1, hi + n + 1
-    widened = tables.Rows(tables.Numerators(CohomologyTable(n, W, t.cells(*W), t.chi)))
     work = tables.Numerators(t)
     before = numerators_state(work)
     wide = coh_decomposition._valid(work)
     assert isinstance(wide, tables.Rows)
-    assert rows_state(wide) == rows_state(widened)
+    assert rows_state(wide) == widened_state(t)
     assert wide.window == W and wide.den == work.den and wide.chi == work.chi
     assert any(wide.cells[n * wide.width:n * wide.width + lo - W[0]])
     assert numerators_state(work) == before
@@ -409,9 +414,8 @@ def test_the_working_form_is_widened_by_its_tail_cells(table):
 def test_valid_returns_the_widened_rows_and_changes_nothing(seed, n, dents, cut):
     # A P^1-P^3 chain sum, dented up to twice and maybe cut to a window
     # inside its staircase: _valid's Rows hold, cell by cell, the rows of
-    # the table on the window widened by n + 1 twists, with its den and chi
-    # and each row's exact first nonzero index; neither _valid nor an entry
-    # point given the Numerators changes them.
+    # the table on the window widened by n + 1 twists, with its den and chi;
+    # neither _valid nor an entry point given the Numerators changes them.
     rng = random.Random(seed)
     _, t = root_chain_combination(rng, random_root_chain(rng, n))
     for _ in range(dents):
@@ -438,7 +442,6 @@ def test_valid_returns_the_widened_rows_and_changes_nothing(seed, n, dents, cut)
             row = [wt.value(i, j) for j in range(W[0], W[1] + 1)]
             assert [F(v, wide.den) for v in wide.cells[i * wide.width:(i + 1) * wide.width]] \
                 == row
-            assert wide.firsts[i] == next((k for k, v in enumerate(row) if v), wide.width)
     assert numerators_state(work) == before
     entry_points = [is_member, validate, decompose_cohomology] + [p1_oracle] * (n == 1)
     for entry_point in entry_points:
@@ -839,8 +842,7 @@ def test_the_second_differences_always_reconstruct_chi(seed):
     # differences M_f satisfy (-sum f M_f, sum M_f) = 2 den (c_0, c_1) on
     # every form, so the P^1 verdict needs nothing but their signs.
     work = tables.Numerators(random_p1_form(random.Random(seed)))
-    lo, hi = work.window
-    w = tables.Rows(work, (lo - 2, hi + 2))
+    w = tables.Rows(work)
     diffs = coh_decomposition._second_differences(w)
     c0, c1 = w.chi
     assert sum(diffs.values()) == 2 * c1

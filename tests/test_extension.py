@@ -434,9 +434,10 @@ def test_enumerate_refuses_an_unknown_mode():
 def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
     # A, B and the split table are each converted to Numerators once, A and
     # B for their own checks and the split table for its validation; the one
-    # Rows built is the widened split table that decides every candidate.
-    # The greedy's root sequences are strictly decreasing by construction,
-    # so none goes through the checking constructor.
+    # Rows built is the widened split table that decides every candidate,
+    # and feasible_set cancels on copies of it.  The greedy's root sequences
+    # are strictly decreasing by construction, so none goes through the
+    # checking constructor.
     calls = {"Numerators": 0, "RootSequence": 0, "Rows": 0}
     numerators_init = tables.Numerators.__init__
     rows_init = tables.Rows.__init__
@@ -464,6 +465,27 @@ def test_decide_patterns_converts_once_and_checks_no_root_sequence(monkeypatch):
         _, _, _, rows = decide_patterns(a, b)
         assert sum(in_cone for _, in_cone in rows) == feasible
         assert calls == {"Numerators": 3, "RootSequence": 0, "Rows": 1}
+        calls["Rows"] = 0
+        assert len(feasible_set(a, b)) == feasible
+        assert calls["Rows"] == 1
+
+
+def test_each_refused_candidate_builds_one_refusal(monkeypatch):
+    # A = 2 sigma(2, 1) and B = 2 sigma(1, -5) on [-7, 5]: the greedy raises
+    # each candidate's NotInCone once, with its step, and nothing rebuilds it.
+    a, b = (supernatural_table(RootSequence(2, roots), 2, (-7, 5))
+            for roots in ((2, 1), (1, -5)))
+    built = []
+    init = NotInCone.__init__
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+    monkeypatch.setattr(NotInCone, "__init__", counted)
+    rows = list(decide_patterns(a, b)[3])
+    refused = sum(not in_cone for _, in_cone in rows)
+    assert (len(rows), refused) == (11340, 11313)
+    assert len(built) == refused
 
 
 def test_the_narrow_pair_is_decided_past_its_window():
@@ -483,10 +505,9 @@ def test_the_narrow_pair_is_decided_past_its_window():
 
 def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
         monkeypatch):
-    # One working copy of the widened split table's Rows per candidate, and
-    # no copy of the split table itself; feasible_set adds a copy of the
-    # unwidened split table's Rows for each of the 3 candidates in the cone,
-    # which becomes its table.
+    # One working copy of the widened split table's Rows per candidate;
+    # feasible_set adds one more copy for each of the 3 candidates in the
+    # cone, which becomes its table.
     a, b = p2_pair()
     calls = {"copy": 0, "CohDecomposition": 0}
     init = CohDecomposition.__init__
@@ -512,9 +533,9 @@ def test_decide_patterns_copies_each_candidate_once_and_builds_no_decomposition(
 
 
 def test_the_p1_walk_runs_no_greedy(monkeypatch):
-    # No copy of the split table, and in feasible_set one copy of the
-    # unwidened one's Rows for each of the 55 candidates in the cone; no
-    # peel, corner read or sigma cell.
+    # No copy of the widened split table's Rows, and in feasible_set one
+    # copy for each of the 55 candidates in the cone; no peel, corner read
+    # or sigma cell.
     a, b = (parse_table((FIXTURES / name).read_text())
             for name in ("p1_o_minus2_x5.ct", "p1_o_plus2_x5.ct"))
     calls = {"copy": 0, "_decompose": 0, "_corner": 0, "_cells": 0}

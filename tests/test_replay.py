@@ -1,7 +1,8 @@
-"""Replay seeded cohomology inputs through ``cli.main`` against one sha256.
+"""Replay seeded cohomology inputs through ``cli.main``, each family against
+one sha256.
 
-The inputs are P^1-P^3 tables written with ``bench/gen.py`` (which never
-imports betticone), plus every ``.ct`` fixture:
+The first family's inputs are P^1-P^3 tables written with ``bench/gen.py``
+(which never imports betticone), plus every ``.ct`` fixture:
 
 - chain sums of supernatural tables with fractional multiplicities, up to
   1,500 twists wide;
@@ -10,9 +11,17 @@ imports betticone), plus every ``.ct`` fixture:
 - chain sums written on a window cut inside their staircase.
 
 Each runs under ``coh-decompose`` with and without ``--integral`` and
-``--check-oracle``, ``member`` and ``validate``.  One sha256 over every
-(argv, stdout, stderr, exit status) pins the output: a change that means
-to keep the output byte-identical must leave ``DIGEST`` as it is.
+``--check-oracle``, ``member`` and ``validate``.
+
+The second family's inputs are ``ext-polytope`` pairs (A, B): line bundles
+and sums of supernatural tables on P^1, small P^2 sums written with the
+same generators, the ``.ct`` fixture pairs, A or B with an entry past its
+window, and an Euler mismatch in A that B's cancels.  Each pair runs in
+full mode, with ``--symmetric`` and with ``--symmetric --serre-shift``.
+
+One sha256 over every (argv, stdout, stderr, exit status) of a family pins
+its output: a change that means to keep the output byte-identical must
+leave ``DIGEST`` and ``EXT_DIGEST`` as they are.
 """
 
 import hashlib
@@ -34,6 +43,10 @@ COMMANDS = (["coh-decompose"], ["coh-decompose", "--integral"],
             ["coh-decompose", "--integral", "--check-oracle"], ["member"], ["validate"])
 CASES = 61
 DIGEST = "1f521343ccfc182494736650fc9d77e58cda156ecbe13d9be471b460260a5872"
+EXT_COMMANDS = (["ext-polytope"], ["ext-polytope", "--symmetric"],
+                ["ext-polytope", "--symmetric", "--serre-shift", "1"])
+EXT_CASES = 23
+EXT_DIGEST = "e1342fdb651bb257ef5275f82e0a3500cbfba9e0e89c144399408fd0b36996bb"
 
 
 def _dent(table, rng):
@@ -78,16 +91,82 @@ def _inputs():
         yield path.name, path.read_text()
 
 
-def test_seeded_cohomology_inputs_replay_byte_identically(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def _with_entry(table, key, value):
+    # table with its cell at key set to value, over its den.
+    return gen.CohTable(table.n, table.window, {**table.cells, key: value * table.den},
+                        table.chi, table.den)
+
+
+def _pairs():
+    """((A name, A text), (B name, B text)) for every replayed
+    ``ext-polytope`` pair, in order."""
+    def pair(name, a, b):
+        return (f"{name}_a.ct", a.text()), (f"{name}_b.ct", b.text())
+    for k, m, a_window, b_window in ((2, 3, (-6, 4), (-6, 4)), (3, 2, (-7, 5), (-5, 6)),
+                                     (4, 1, (-7, 5), (-7, 5)), (1, 4, (-4, 2), (-4, 2))):
+        yield pair(f"p1_o{k}_x{m}", gen.line_bundle_p1(-k, m, a_window),
+                   gen.line_bundle_p1(k, m, b_window))
+    rng = random.Random(38)
+    for terms in (1, 2, 3):
+        # A's roots lie right of B's, so B's row 0 meets A's row 1
+        sums = [gen.supernatural_sum(1, (-6, 6), [
+                    (Fraction(rng.randint(1, 6), rng.randint(1, 2)), roots)
+                    for roots in gen.root_chain(rng, 1, terms, lo, hi)])
+                for lo, hi in ((0, 6), (-6, 0))]
+        yield pair(f"p1_sums{terms}", *sums)
+    # On P^2, B's row 1 meets A's row 2 where B's roots straddle A's f_2.
+    for k, (window, a_terms, b_terms) in enumerate((
+            ((-5, 3), [(2, (2, 1))], [(2, (1, -3))]),
+            ((-6, 4), [(Fraction(3, 2), (2, 1))], [(1, (1, -4))]),
+            ((-5, 3), [(2, (1, 0))], [(2, (1, -4))]),
+            ((-6, 4), [(2, (2, 0))], [(2, (1, -4))]))):
+        yield pair(f"p2_sum{k}", gen.supernatural_sum(2, window, a_terms),
+                   gen.supernatural_sum(2, window, b_terms))
+    rng = random.Random(42)
+    chains = gen.root_chain(rng, 2, 2, 0, 4), gen.root_chain(rng, 2, 2, -6, 4)
+    yield pair("p2_chains", *(gen.supernatural_sum(2, (-6, 4), [(q, roots) for roots in chain])
+                              for q, chain in zip((2, Fraction(3, 2)), chains)))
+    for names in (("p1_o_minus2_x5", "p1_o_plus2_x5"),
+                  ("p1_o_minus5_narrow", "p1_o_plus5_narrow"),
+                  ("p1_split", "p1_tail_guard"), ("p1_corner_a5_b5", "p1_corner_a5_b10"),
+                  ("pp2_rank3", "p2_o_plus2"), ("pp2_rank3_part1", "pp2_rank3_part2"),
+                  ("p2_structure_sheaf", "p2_o_plus2")):
+        yield tuple((f"{name}.ct", (ROOT / "fixtures" / f"{name}.ct").read_text())
+                    for name in names)
+    a, b = gen.line_bundle_p1(-2, 5, (-6, 4)), gen.line_bundle_p1(2, 5, (-6, 4))
+    yield pair("p1_a_past_window", _with_entry(a, (0, 6), 3), b)
+    yield pair("p1_b_past_window", a, _with_entry(b, (1, -8), 1))
+    # A gains 1 at (0, 2) and B loses it: A + B keeps its Euler identity
+    yield pair("p1_euler", _with_entry(a, (0, 2), a.cells[(0, 2)] + 1),
+               _with_entry(b, (0, 2), b.cells[(0, 2)] - 1))
+    a = gen.supernatural_sum(2, (-5, 3), [(2, (2, 1))])
+    yield pair("p2_a_past_window", _with_entry(a, (2, -7), 1),
+               gen.supernatural_sum(2, (-5, 3), [(2, (1, -3))]))
+
+
+def _replay(tmp_path, capsys, inputs, commands):
+    """(cases, sha256): the number of inputs, each a list of (file name,
+    text) written to tmp_path, and the sha256 over every (argv, stdout,
+    stderr, exit status) of each command run on each input's files."""
     digest, cases = hashlib.sha256(), 0
-    for name, text in _inputs():
-        (tmp_path / name).write_text(text)
+    for files in inputs:
+        for name, text in files:
+            (tmp_path / name).write_text(text)
         cases += 1
-        for command in COMMANDS:
-            argv = [command[0], name, *command[1:]]
+        for command in commands:
+            argv = [command[0], *(name for name, _ in files), *command[1:]]
             status = cli.main(argv)
             out, err = capsys.readouterr()
             digest.update(json.dumps([argv, out, err, status]).encode())
-    assert cases == CASES
-    assert digest.hexdigest() == DIGEST
+    return cases, digest.hexdigest()
+
+
+def test_seeded_cohomology_inputs_replay_byte_identically(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inputs = ([file] for file in _inputs())
+    assert _replay(tmp_path, capsys, inputs, COMMANDS) == (CASES, DIGEST)
+
+
+def test_seeded_ext_polytope_pairs_replay_byte_identically(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _replay(tmp_path, capsys, _pairs(), EXT_COMMANDS) == (EXT_CASES, EXT_DIGEST)
