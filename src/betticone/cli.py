@@ -70,17 +70,20 @@ def _fmt_seq(values):
     return ",".join(map(str, values))
 
 
-def _term_line(coeff, diagram):
+def _diagram_fields(diagram):
     seq = diagram.sequence
-    return (f"term {coeff} window={seq.start} degrees={_fmt_seq(seq.degrees)} "
+    return (f"window={seq.start} degrees={_fmt_seq(seq.degrees)} "
             f"values={_fmt_seq(diagram.values)}")
+
+
+def _term_line(coeff, diagram):
+    return f"term {coeff} {_diagram_fields(diagram)}"
 
 
 def _cmd_pure(args):
     seq = _parse_degrees_arg(args.degrees, args.vars)
     diagram = integral_diagram(seq) if args.integral else normalized_diagram(seq)
-    print(f"diagram window={seq.start} degrees={_fmt_seq(seq.degrees)} "
-          f"values={_fmt_seq(diagram.values)}")
+    print(f"diagram {_diagram_fields(diagram)}")
     return 0
 
 
